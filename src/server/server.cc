@@ -130,12 +130,8 @@ Status EstimatorServer::Listen() {
 }
 
 size_t EstimatorServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  size_t n = 0;
-  for (const auto& c : connections_) {
-    if (!c->done.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return open_readers_;
 }
 
 void EstimatorServer::ReapConnections() {
@@ -177,11 +173,7 @@ void EstimatorServer::AcceptLoop() {
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
     ReapConnections();
-    size_t active = 0;
-    for (const auto& c : connections_) {
-      if (!c->done.load(std::memory_order_acquire)) ++active;
-    }
-    if (active >= options_.max_connections) {
+    if (active_connections() >= options_.max_connections) {
       SEL_METRIC_COUNTER_INC("server.overload_total");
       (void)WriteFrame(fd, MakeErrorFrame(WireStatus::kResourceExhausted,
                                           "too many connections"));
@@ -192,8 +184,14 @@ void EstimatorServer::AcceptLoop() {
     conn->fd = fd;
     Connection* raw = conn.get();
     connections_.push_back(std::move(conn));
-    SEL_METRIC_GAUGE_SET("server.connections",
-                         static_cast<int64_t>(active + 1));
+    {
+      // Counted before its reader starts, so the batcher never sees a
+      // request from a reader it does not count.
+      std::lock_guard<std::mutex> queue_lock(queue_mu_);
+      ++open_readers_;
+      SEL_METRIC_GAUGE_SET("server.connections",
+                           static_cast<int64_t>(open_readers_));
+    }
     raw->thread = std::thread([this, raw] { ConnectionLoop(raw); });
   }
 }
@@ -222,6 +220,14 @@ void EstimatorServer::ConnectionLoop(Connection* conn) {
   // number is released after join (ReapConnections / Shutdown()), which
   // keeps kernel fd reuse race-free.
   ::shutdown(conn->fd, SHUT_RDWR);
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    --open_readers_;
+    SEL_METRIC_GAUGE_SET("server.connections",
+                         static_cast<int64_t>(open_readers_));
+  }
+  // A batch still lingering for this reader can dispatch now.
+  queue_cv_.notify_all();
   conn->done.store(true, std::memory_order_release);
 }
 
@@ -407,10 +413,16 @@ void EstimatorServer::BatchLoop() {
       take_pending();
       // Micro-batching: linger up to the window for more arrivals, so
       // concurrent clients coalesce into one EstimateMany dispatch.
+      const auto linger_start = SteadyClock::now();
       const auto window_end =
-          SteadyClock::now() +
-          std::chrono::microseconds(options_.batch_window_us);
+          linger_start + std::chrono::microseconds(options_.batch_window_us);
+      // A reader has at most one request in flight: it blocks in
+      // AdmitAndWait until the batch holding that request answers. So
+      // every request in `batch` comes from a distinct open reader, and
+      // once the batch holds one per open reader no further request can
+      // arrive before dispatch; lingering on would only add latency.
       while (!full && options_.batch_window_us > 0 &&
+             batch.size() < open_readers_ &&
              !stopping_.load(std::memory_order_acquire)) {
         if (queue_cv_.wait_until(lock, window_end) ==
             std::cv_status::timeout) {
@@ -421,6 +433,8 @@ void EstimatorServer::BatchLoop() {
       }
       SEL_METRIC_GAUGE_SET("server.queue_depth",
                            static_cast<int64_t>(pending_.size()));
+      SEL_METRIC_HIST_RECORD("server.stage.linger_us",
+                             MicrosSince(linger_start));
     }
     ExecuteBatch(std::move(batch));
   }
@@ -525,7 +539,6 @@ void EstimatorServer::Shutdown() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  SEL_METRIC_GAUGE_SET("server.connections", 0);
   SEL_METRIC_GAUGE_SET("server.queue_depth", 0);
 }
 

@@ -7,7 +7,9 @@
 // pending-request queue into a micro-batcher that coalesces requests
 // arriving within `batch_window_us` into ONE CompiledPlan::EstimateMany
 // call — the batch kernel then fans out over the shared ThreadPool, so
-// compute parallelism lives where it always has. Admission control is
+// compute parallelism lives where it always has. The window is an upper
+// bound: it closes early once every open connection has its request in
+// the batch, since no further request can arrive. Admission control is
 // load-shedding, not queueing: when the pending queue is full, the
 // request is answered immediately with a RESOURCE_EXHAUSTED frame and
 // dropped, so overload degrades throughput but never memory.
@@ -28,7 +30,8 @@
 //
 // Instrumentation: server.requests_total / server.batch_size /
 // server.queue_depth / server.overload_total / server.request_us /
-// server.connections plus the net.accept/net.read/net.write fault sites
+// server.stage.linger_us / server.connections plus the
+// net.accept/net.read/net.write fault sites
 // (a fault-injected connection failure closes that connection, never
 // the server).
 #ifndef SEL_SERVER_SERVER_H_
@@ -65,8 +68,10 @@ class EstimatorServer {
     int port = 0;
     /// Micro-batch coalescing window: after the first pending request is
     /// picked up, the batcher waits up to this long for more before
-    /// dispatching one EstimateMany over everything collected. 0 serves
-    /// strictly request-at-a-time.
+    /// dispatching one EstimateMany over everything collected. It is an
+    /// upper bound: the batch dispatches early once every open
+    /// connection has its request in it. 0 serves strictly
+    /// request-at-a-time.
     long batch_window_us = 100;
     /// Bound of the pending-request queue; an admission attempt beyond
     /// it is answered RESOURCE_EXHAUSTED immediately (load shedding).
@@ -174,12 +179,15 @@ class EstimatorServer {
   std::thread acceptor_;
   std::thread batcher_;
 
-  mutable std::mutex conn_mu_;
+  std::mutex conn_mu_;
   std::list<std::unique_ptr<Connection>> connections_;
 
-  std::mutex queue_mu_;
+  mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<PendingRequest>> pending_;
+  /// Registered connections whose reader thread has not finished; the
+  /// batcher stops lingering once a batch holds this many requests.
+  size_t open_readers_ = 0;
 
   /// Serializes Feedback (and the retrains it triggers); estimates
   /// never take it.

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -63,6 +65,29 @@ EstimatorServer::Options QuietOptions() {
 
 Result<std::unique_ptr<EstimatorClient>> Dial(const EstimatorServer& server) {
   return EstimatorClient::Connect("127.0.0.1", server.port());
+}
+
+/// Metrics on and zeroed for the scope of one test.
+struct MetricsOn {
+  MetricsOn() {
+    SetMetricsEnabled(true);
+    MetricsRegistry::Global().Reset();
+  }
+  ~MetricsOn() {
+    MetricsRegistry::Global().Reset();
+    SetMetricsEnabled(false);
+  }
+};
+
+/// Polls `done` every millisecond until it holds or `timeout` passes.
+bool WaitUntil(const std::function<bool()>& done,
+               std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// Raw TCP connection for writing deliberately malformed bytes.
@@ -380,6 +405,10 @@ TEST(ServerDeadline, QueuedPastBudgetAnswersDeadlineExceeded) {
   opts.batch_window_us = 200000;  // 200ms linger >> 20ms budget
   auto server = EstimatorServer::Start(est.get(), opts);
   ASSERT_TRUE(server.ok());
+  // A lone connection would close the window at once; an idle second
+  // one (accepted first) keeps the batch lingering past the budget.
+  auto idle = Dial(*server.value());
+  ASSERT_TRUE(idle.ok());
   auto client = Dial(*server.value());
   ASSERT_TRUE(client.ok());
   const Query probe = fx.MakeWorkload(1, 1).front().query;
@@ -388,6 +417,150 @@ TEST(ServerDeadline, QueuedPastBudgetAnswersDeadlineExceeded) {
   EXPECT_NE(r.status().message().find("DEADLINE_EXCEEDED"),
             std::string::npos)
       << r.status().ToString();
+}
+
+// The batch window is an upper bound. Each connection has at most one
+// request in flight, so once every open connection has its request in
+// the batch, the batch dispatches without waiting the window out; an
+// idle connection keeps it open until the window ends or it leaves.
+class ServerEarlyClose : public ::testing::Test {
+ protected:
+  static constexpr long kWindowUs = 5000000;
+  static constexpr double kWindowS = kWindowUs * 1e-6;
+  static constexpr size_t kBurst = 4;
+
+  void SetUp() override {
+    est_ = fx_.MakeTrained();
+    plan_ = est_->serving_plan();
+    ASSERT_NE(plan_, nullptr);
+    EstimatorServer::Options opts = QuietOptions();
+    opts.batch_window_us = kWindowUs;
+    auto server = EstimatorServer::Start(est_.get(), opts);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(server).value();
+  }
+
+  /// `n` connections with a receive timeout well past the window, each
+  /// registered by the server before this returns.
+  std::vector<std::unique_ptr<EstimatorClient>> DialRegistered(size_t n) {
+    std::vector<std::unique_ptr<EstimatorClient>> clients;
+    for (size_t i = 0; i < n; ++i) {
+      auto client = EstimatorClient::Connect("127.0.0.1", server_->port(),
+                                             /*timeout_ms=*/60000);
+      EXPECT_TRUE(client.ok()) << client.status().ToString();
+      if (!client.ok()) return {};
+      clients.push_back(std::move(client).value());
+    }
+    EXPECT_TRUE(WaitUntil([&] { return server_->active_connections() >= n; },
+                          std::chrono::seconds(10)));
+    return clients;
+  }
+
+  /// One Estimate from each client at once, while `meanwhile` runs on
+  /// the calling thread. Returns each answer's seconds since the burst
+  /// began, or -1 for an answer that failed or is not bit-identical to
+  /// the served plan.
+  std::vector<double> EstimateFromEach(
+      const std::vector<std::unique_ptr<EstimatorClient>>& clients,
+      const std::function<void()>& meanwhile = [] {}) {
+    const Query probe = fx_.MakeWorkload(1, 1).front().query;
+    double direct = 0.0;
+    plan_->EstimateMany(&probe, 1, &direct);
+    std::vector<double> seconds(clients.size(), -1.0);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < clients.size(); ++i) {
+      threads.emplace_back([&, i] {
+        auto r = clients[i]->Estimate(probe);
+        if (r.ok() &&
+            std::memcmp(&r.value(), &direct, sizeof(double)) == 0) {
+          seconds[i] = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+        }
+      });
+    }
+    meanwhile();
+    for (auto& t : threads) t.join();
+    return seconds;
+  }
+
+  Fixture fx_;
+  std::unique_ptr<OnlineEstimator> est_;
+  std::shared_ptr<const CompiledPlan> plan_;
+  std::unique_ptr<EstimatorServer> server_;  // last: shuts down first
+};
+
+TEST_F(ServerEarlyClose, AllConnectionsInBatchDispatchInsideWindow) {
+  MetricsOn metrics;
+  const auto clients = DialRegistered(kBurst);
+  ASSERT_EQ(clients.size(), kBurst);
+  for (double s : EstimateFromEach(clients)) {
+    EXPECT_GE(s, 0.0) << "an answer failed or differs from the plan";
+    EXPECT_LT(s, kWindowS / 2);
+  }
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const HistogramSnapshot* batches = snap.FindHistogram("server.batch_size");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_EQ(batches->count, 1u);                          // one batch ...
+  EXPECT_EQ(batches->sum, static_cast<double>(kBurst));   // ... of 4
+  const HistogramSnapshot* linger =
+      snap.FindHistogram("server.stage.linger_us");
+  ASSERT_NE(linger, nullptr);
+  EXPECT_EQ(linger->count, 1u);
+  EXPECT_LT(linger->sum, kWindowUs / 2);
+  auto stats = clients.front()->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats.value().find("\"server.stage.linger_us\""),
+            std::string::npos);
+}
+
+TEST_F(ServerEarlyClose, IdleConnectionHoldsWindowOpen) {
+  auto clients = DialRegistered(kBurst + 1);
+  ASSERT_EQ(clients.size(), kBurst + 1);
+  const auto idle = std::move(clients.back());
+  clients.pop_back();
+  for (double s : EstimateFromEach(clients)) EXPECT_GE(s, kWindowS);
+}
+
+TEST_F(ServerEarlyClose, ClosingIdleConnectionReleasesLingeringBatch) {
+  auto clients = DialRegistered(kBurst + 1);
+  ASSERT_EQ(clients.size(), kBurst + 1);
+  std::unique_ptr<EstimatorClient> idle = std::move(clients.back());
+  clients.pop_back();
+  constexpr double kHoldS = 0.2;
+  const std::vector<double> seconds = EstimateFromEach(clients, [&] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(kHoldS));
+    idle.reset();  // the last connection without a request leaves
+  });
+  for (double s : seconds) {
+    // Held while the idle connection was open, released when it closed.
+    EXPECT_GE(s, kHoldS);
+    EXPECT_LT(s, kWindowS / 2);
+  }
+}
+
+// server.connections follows open connections down as well as up.
+TEST(ServerConnections, GaugeFallsWhenClientDisconnects) {
+  MetricsOn metrics;
+  Fixture fx;
+  auto est = fx.MakeTrained();
+  auto server = EstimatorServer::Start(est.get(), QuietOptions());
+  ASSERT_TRUE(server.ok());
+  const auto gauge = [] {
+    return MetricsRegistry::Global().Snapshot().GaugeValue(
+        "server.connections");
+  };
+  {
+    auto client = Dial(*server.value());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value()->Ping().ok());  // registered and serving
+    EXPECT_EQ(server.value()->active_connections(), 1u);
+    EXPECT_EQ(gauge(), 1);
+  }
+  EXPECT_TRUE(WaitUntil([&] { return gauge() == 0; },
+                        std::chrono::seconds(10)));
+  EXPECT_EQ(server.value()->active_connections(), 0u);
 }
 
 TEST(ServerMalformed, BadMagicGetsErrorThenClose) {
@@ -580,6 +753,10 @@ TEST(ServerShutdown, DrainAnswersInFlightRequests) {
   const auto plan = est->serving_plan();
   ASSERT_NE(plan, nullptr);
 
+  // An idle connection (accepted before the requester's) keeps the
+  // window open, so the request is still lingering when Shutdown runs.
+  auto idle = Dial(*server.value());
+  ASSERT_TRUE(idle.ok());
   const Query probe = fx.MakeWorkload(1, 1).front().query;
   std::atomic<int> definite{0};
   std::thread requester([&] {
