@@ -93,8 +93,9 @@ int Main() {
   std::vector<double> ref_est;
 
   // Reference model for batched prediction.
-  StaticPointModel ref_model(points, Vector(points.size(),
-                                            1.0 / points.size()));
+  auto ref_model = StaticPointModel::Create(
+      points, Vector(points.size(), 1.0 / points.size()));
+  SEL_CHECK(ref_model.ok());
 
   TablePrinter t({"task", "threads", "seconds", "speedup", "identical"});
   CsvWriter csv("bench_parallel_scaling.csv");
@@ -114,7 +115,7 @@ int Main() {
       ind = BuildPointIndicatorMatrix(workload, points);
     });
     const double est_s = MinSeconds(reps, [&] {
-      est = EstimateBatch(ref_model, workload);
+      est = EstimateBatch(*ref_model.value(), workload);
     });
 
     if (threads == 1) {

@@ -2,14 +2,13 @@
 // estimate by aggregating per-bucket computations, so prediction time is
 // dictated by model complexity. This bench makes that relationship
 // explicit — per-query estimation latency vs bucket count per model —
-// and measures both serving paths side by side: the virtual
-// SelectivityModel::Estimate dispatch and the lowered CompiledPlan
-// kernel (DESIGN.md §11). tools/check_serve_speedup.sh parses the CSV
-// and enforces the plan path's speedup floor in CI.
+// through the one serving path, the CompiledPlan each model builds at
+// the end of Train (DESIGN.md §11), with the SIMD leaf kernels on
+// (simd=auto) and pinned off (simd=scalar).
 //
 // Methodology mirrors check_metrics_overhead.sh: alternating
-// virtual/plan rounds with a min-statistic per path, so one-sided cache
-// warmup or a scheduler hiccup cannot fake (or hide) a speedup.
+// auto/scalar rounds with a min-statistic per level, so one-sided cache
+// warmup or a scheduler hiccup cannot fake (or hide) a difference.
 #include "bench_common.h"
 
 using namespace sel;
@@ -29,10 +28,12 @@ int main() {
   WorkloadGenerator probe_gen(&prep.data, prep.index.get(), probe_opts);
   const Workload probes = probe_gen.Generate(probe_count);
 
-  TablePrinter t({"model", "buckets", "path", "simd", "us_per_estimate"});
+  TablePrinter t({"model", "buckets", "simd", "us_per_estimate"});
   CsvWriter csv("bench_prediction_time.csv");
-  csv.WriteRow(std::vector<std::string>{"model", "buckets", "path", "simd",
-                                        "us_per_est"});
+  csv.WriteRow(
+      std::vector<std::string>{"model", "buckets", "simd", "us_per_est"});
+  const SimdLevel levels[] = {MaxSupportedSimdLevel(), SimdLevel::kScalar};
+  const char* level_names[] = {"auto", "scalar"};
   for (size_t n : sizes) {
     WorkloadOptions train_opts = wopts;
     train_opts.seed = wopts.seed + n;
@@ -43,60 +44,40 @@ int main() {
       SEL_CHECK_MSG(built.ok(), "%s", built.status().ToString().c_str());
       auto& model = built.value();
       SEL_CHECK(model->Train(train).ok());
-      // Warm the plan cache once up front; the rounds then only pay the
-      // serving cost, never the one-time lowering.
-      SetServePlanEnabled(true);
-      SEL_CHECK_MSG(model->shared_plan() != nullptr,
-                    "%s did not lower to a CompiledPlan", kind);
 
-      // Both paths run the identical EstimateBatch harness (same
-      // thread-pool fan-out, same per-query loop); only the serving path
-      // differs, toggled via the same SEL_SERVE_PLAN escape hatch users
-      // get. The simd axis pins the kernel dispatch the way SEL_SIMD
-      // would. Rounds alternate virtual/plan with a min-statistic so
-      // one-sided warmup cannot bias either side.
-      for (const char* simd : {"auto", "scalar"}) {
-        SetSimdLevel(std::string(simd) == "scalar"
-                         ? SimdLevel::kScalar
-                         : MaxSupportedSimdLevel());
-        double best_virtual_us = 0.0, best_plan_us = 0.0;
-        double sink = 0.0;
-        for (int r = 0; r < rounds; ++r) {
-          SetServePlanEnabled(false);
-          WallTimer vt;
+      // Both levels run the identical EstimateBatch harness (same
+      // thread-pool fan-out, same per-query loop); only the kernel
+      // dispatch differs, pinned the way SEL_SIMD would.
+      double best_us[2] = {0.0, 0.0};
+      double sink = 0.0;
+      for (int r = 0; r < rounds; ++r) {
+        for (int l = 0; l < 2; ++l) {
+          SetSimdLevel(levels[l]);
+          WallTimer timer;
           sink += EstimateBatch(*model, probes)[0];
-          const double virt_us = vt.Seconds() * 1e6 / probe_count;
-          SetServePlanEnabled(true);
-          WallTimer pt;
-          sink += EstimateBatch(*model, probes)[0];
-          const double plan_us = pt.Seconds() * 1e6 / probe_count;
-          if (r == 0 || virt_us < best_virtual_us) best_virtual_us = virt_us;
-          if (r == 0 || plan_us < best_plan_us) best_plan_us = plan_us;
+          const double us = timer.Seconds() * 1e6 / probe_count;
+          if (r == 0 || us < best_us[l]) best_us[l] = us;
         }
-        SEL_CHECK(sink >= 0.0);
-        const std::string buckets = std::to_string(model->NumBuckets());
-        t.AddRow({model->Name(), buckets, "virtual", simd,
-                  FormatDouble(best_virtual_us, 2)});
-        t.AddRow({model->Name(), buckets, "plan", simd,
-                  FormatDouble(best_plan_us, 2)});
-        csv.WriteRow(std::vector<std::string>{model->Name(), buckets,
-                                              "virtual", simd,
-                                              FormatDouble(best_virtual_us)});
-        csv.WriteRow(std::vector<std::string>{model->Name(), buckets, "plan",
-                                              simd,
-                                              FormatDouble(best_plan_us)});
       }
       SetSimdLevel(MaxSupportedSimdLevel());
+      SEL_CHECK(sink >= 0.0);
+      const std::string buckets = std::to_string(model->NumBuckets());
+      for (int l = 0; l < 2; ++l) {
+        t.AddRow({model->Name(), buckets, level_names[l],
+                  FormatDouble(best_us[l], 2)});
+        csv.WriteRow(std::vector<std::string>{
+            model->Name(), buckets, level_names[l], FormatDouble(best_us[l])});
+      }
     }
   }
   csv.Close();
   t.Print();
   std::printf("\nExpected: latency grows ~linearly in bucket count for the "
               "flat models (PtsHist point tests, QuickSel kernel "
-              "intersections) and sublinearly for QuadHist, whose tree "
-              "prunes subtrees fully inside/outside the query. The plan "
-              "path should beat the virtual path on every flat model: "
-              "same Eq. (6)/(7) sums, but over a pruned SoA layout with "
-              "precomputed 1/vol.\n");
+              "intersections) and sublinearly for QuadHist, whose plan "
+              "tree prunes subtrees fully inside/outside the query. "
+              "simd=auto should beat simd=scalar wherever leaf scans "
+              "dominate: same Eq. (6)/(7) sums, same bits, but the leaf "
+              "kernels run full-width vector blocks.\n");
   return 0;
 }

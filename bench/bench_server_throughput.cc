@@ -7,7 +7,7 @@
 // frame/syscall amortization. tools/check_server_throughput.sh parses
 // the CSV and enforces the batched path's >= 2x floor in release CI.
 //
-// Methodology mirrors check_serve_speedup.sh: alternating rounds with a
+// Methodology mirrors check_metrics_overhead.sh: alternating rounds with a
 // best-of statistic per cell, so one-sided warmup or a scheduler hiccup
 // cannot fake (or hide) a win.
 #include "bench_common.h"

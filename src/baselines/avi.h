@@ -56,7 +56,7 @@ class AviHistogram : public SelectivityModel {
 
   /// Non-lowerable: the product-of-marginals estimate multiplies
   /// per-dimension masses, which no flat Eq. (6)/(7) bucket sum
-  /// reproduces. Serving stays on the virtual path.
+  /// reproduces. It keeps its own Estimate.
   Result<CompiledPlan> Compile() const override {
     return Status::Unimplemented(
         "AVI is non-lowerable: product form has no flat bucket sum");

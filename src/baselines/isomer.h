@@ -40,7 +40,6 @@ class Isomer : public SelectivityModel {
   Isomer(int domain_dim, const IsomerOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override { return buckets_.size(); }
   std::string Name() const override { return "Isomer"; }
 

@@ -113,18 +113,22 @@ Status ArrangementLearner::Train(const Workload& workload) {
 
   trained_ = true;
   train_stats_.train_seconds = timer.Seconds();
-  return Status::OK();
+  return StorePlan();
 }
 
 size_t ArrangementLearner::NumBuckets() const { return cells_.size(); }
 
-double ArrangementLearner::Estimate(const Query& query) const {
-  SEL_CHECK_MSG(trained_, "ArrangementLearner::Estimate before Train");
-  SEL_CHECK(query.dim() == dim_);
-  if (options_.mode == ArrangementOptions::Mode::kHistogram) {
-    return EstimateFromBoxBuckets(query, cells_, weights_, options_.volume);
+Result<CompiledPlan> ArrangementLearner::Compile() const {
+  if (!trained_) {
+    return Status::FailedPrecondition(
+        "ArrangementLearner::Compile before Train");
   }
-  return EstimateFromPointBuckets(query, cell_points_, weights_);
+  if (options_.mode == ArrangementOptions::Mode::kHistogram) {
+    return CompiledPlan::FromBoxBuckets(cells_, weights_, options_.volume,
+                                        RegistryName());
+  }
+  return CompiledPlan::FromPointBuckets(cell_points_, weights_,
+                                        RegistryName());
 }
 
 }  // namespace sel

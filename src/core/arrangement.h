@@ -38,9 +38,12 @@ class ArrangementLearner : public SelectivityModel {
   ArrangementLearner(int domain_dim, const ArrangementOptions& options);
 
   Status Train(const Workload& workload) override;
-  double Estimate(const Query& query) const override;
   size_t NumBuckets() const override;
   std::string Name() const override { return "Arrangement"; }
+
+  /// Lowers the cells to Eq. (6) box entries (histogram mode) or their
+  /// centers to Eq. (7) point entries (discrete mode).
+  Result<CompiledPlan> Compile() const override;
 
   /// The cell boxes after training (histogram mode).
   const std::vector<Box>& Cells() const { return cells_; }

@@ -64,7 +64,7 @@ class GmmModel : public SelectivityModel {
   std::string Name() const override { return "GMM"; }
 
   /// Non-lowerable: Gaussian component masses are not finite unions of
-  /// Eq. (6)/(7) buckets. Serving stays on the virtual path.
+  /// Eq. (6)/(7) buckets. It keeps its own Estimate.
   Result<CompiledPlan> Compile() const override {
     return Status::Unimplemented(
         "GMM is non-lowerable: component masses have no flat bucket form");

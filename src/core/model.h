@@ -2,11 +2,15 @@
 // §2.1: map a finite training sample z^n to a selectivity function) and
 // shared machinery for distribution-backed models of §3.1 — histograms
 // (Eq. 6) and discrete distributions (Eq. 7) with weights from Eq. (8).
+//
+// A distribution-backed model predicts with exactly one of those two
+// sums, so it lowers to a CompiledPlan (serve/compiled_plan.h) once, at
+// the end of Train, and every Estimate is answered by that plan. Only
+// the models with no bucket form (gmm, avi) estimate on their own.
 #ifndef SEL_CORE_MODEL_H_
 #define SEL_CORE_MODEL_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -54,8 +58,10 @@ class SelectivityModel {
   /// Fits the model to the training workload. May be called once.
   virtual Status Train(const Workload& workload) = 0;
 
-  /// Estimated selectivity of `query`, in [0, 1].
-  virtual double Estimate(const Query& query) const = 0;
+  /// Estimated selectivity of `query`, in [0, 1]: the plan built by
+  /// Train answers it. Only non-lowerable models override this. Calling
+  /// before Train is a programming error (SEL_CHECK).
+  virtual double Estimate(const Query& query) const;
 
   /// Model complexity: number of buckets (Figs. 10, 31, 34, 37, ...).
   virtual size_t NumBuckets() const = 0;
@@ -69,57 +75,47 @@ class SelectivityModel {
   virtual std::string RegistryName() const;
 
   /// Lowers the trained model to its flat serving form (serve/ IR).
-  /// Distribution-backed models (quadhist/ptshist/static/staticpoints/
-  /// isomer/quicksel) override this; the default marks the model
-  /// non-lowerable (kUnimplemented) and serving falls back to the
-  /// virtual Estimate path. Calling before Train fails with
-  /// kFailedPrecondition.
+  /// Distribution-backed models override this; the default marks the
+  /// model non-lowerable (kUnimplemented). Calling before Train fails
+  /// with kFailedPrecondition. Train already stores the result (see
+  /// shared_plan()); this builds a fresh copy.
   virtual Result<CompiledPlan> Compile() const;
 
-  /// Validating front door over the virtual Estimate path: rejects
-  /// malformed queries (non-finite parameters, inverted intervals —
-  /// see ValidateQuery) with InvalidArgument, counted under
-  /// serve.invalid_query_total, instead of feeding them into estimator
-  /// arithmetic. Request-handling edges call this; trusted internal
-  /// callers keep the raw virtual Estimate.
+  /// Validating front door over Estimate: rejects malformed queries
+  /// (non-finite parameters, inverted intervals — see ValidateQuery)
+  /// with InvalidArgument, counted under serve.invalid_query_total,
+  /// instead of feeding them into estimator arithmetic. Request-handling
+  /// edges call this; trusted internal callers keep the raw Estimate.
   Result<double> TryEstimate(const Query& query) const;
 
-  /// The model's serving plan, compiled once and cached: nullptr when
-  /// plan serving is disabled (SEL_SERVE_PLAN=0), the model is
-  /// non-lowerable, or compilation failed. A kUnimplemented Compile is
-  /// remembered permanently; any other failure (e.g. not yet trained) is
-  /// retried on the next call, so a post-train call still compiles.
-  /// Thread-safe; callers keep the shared_ptr alive for lock-free reads.
-  std::shared_ptr<const CompiledPlan> shared_plan() const;
+  /// The plan every Estimate is answered from: built at the end of Train
+  /// (at construction for the static and plan models); nullptr before
+  /// then and for non-lowerable models. Callers keep the shared_ptr
+  /// alive for lock-free reads.
+  std::shared_ptr<const CompiledPlan> shared_plan() const { return plan_; }
 
   /// Statistics from the last Train call.
   const TrainStats& train_stats() const { return train_stats_; }
 
  protected:
   SelectivityModel() = default;
-  // The plan cache (mutex + pointer) is per-object state that must not
-  // travel with copies/moves; only the training statistics do. Without
-  // these, the std::mutex member would delete the implicit move that
-  // by-value factories (GmmModel::FromParameters) rely on.
-  SelectivityModel(const SelectivityModel& other)
-      : train_stats_(other.train_stats_) {}
-  SelectivityModel(SelectivityModel&& other) noexcept
-      : train_stats_(std::move(other.train_stats_)) {}
-  SelectivityModel& operator=(const SelectivityModel& other) {
-    train_stats_ = other.train_stats_;
-    return *this;
-  }
-  SelectivityModel& operator=(SelectivityModel&& other) noexcept {
-    train_stats_ = std::move(other.train_stats_);
-    return *this;
-  }
+  SelectivityModel(const SelectivityModel&) = default;
+  SelectivityModel(SelectivityModel&&) = default;
+  SelectivityModel& operator=(const SelectivityModel&) = default;
+  SelectivityModel& operator=(SelectivityModel&&) = default;
+  /// For models that are a plan already (PlanModel).
+  explicit SelectivityModel(std::shared_ptr<const CompiledPlan> plan)
+      : plan_(std::move(plan)) {}
+
+  /// Lowers the model through Compile() and stores the plan Estimate
+  /// serves from. Every lowerable Train ends here, after train_seconds
+  /// is set, so a failed lowering is a failed Train.
+  Status StorePlan();
 
   TrainStats train_stats_;
 
  private:
-  mutable std::mutex plan_mu_;
-  mutable std::shared_ptr<const CompiledPlan> plan_cache_;
-  mutable bool plan_non_lowerable_ = false;
+  std::shared_ptr<const CompiledPlan> plan_;
 };
 
 /// Assembles the Eq. (8) coefficient matrix for box buckets: row i holds
@@ -153,30 +149,6 @@ Result<Vector> SolveBucketWeights(const SparseMatrix& a, const Vector& s,
                                   const SimplexLsqOptions& qp_options,
                                   const LpOptions& lp_options,
                                   TrainStats* stats);
-
-/// Precomputes 1/vol(B_j) for each bucket; 0 marks a degenerate
-/// (zero-volume) bucket, the sentinel BoxBucketTerm resolves via center
-/// containment. Compute once after bucket design, serve many times.
-std::vector<double> ComputeInverseVolumes(const std::vector<Box>& buckets);
-
-/// Histogram estimate (Eq. 6): sum_j w_j * vol(B_j ∩ R)/vol(B_j).
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const VolumeOptions& volume_options);
-
-/// Eq. (6) with cached inverse volumes (no per-call vol(B_j) recompute).
-/// `inv_vols` must come from ComputeInverseVolumes over the same buckets.
-double EstimateFromBoxBuckets(const Query& query,
-                              const std::vector<Box>& buckets,
-                              const Vector& weights,
-                              const std::vector<double>& inv_vols,
-                              const VolumeOptions& volume_options);
-
-/// Discrete-distribution estimate (Eq. 7): sum_j w_j * 1(B_j in R).
-double EstimateFromPointBuckets(const Query& query,
-                                const std::vector<Point>& buckets,
-                                const Vector& weights);
 
 }  // namespace sel
 

@@ -50,6 +50,13 @@ std::string CanonicalKind(const std::string& kind) {
   return kind;
 }
 
+/// A well-formed file whose records cannot lower to a serving plan
+/// (e.g. every weight is zero) is as unusable as a corrupt one.
+Status CannotServe(const ModelLoadContext& ctx, const Status& why) {
+  return Status::IOError("invalid " + ctx.kind + " model in " + ctx.path +
+                         ": " + why.message());
+}
+
 bool ReadDoubles(std::istringstream& is, int n, Point* out) {
   out->resize(n);
   for (int j = 0; j < n; ++j) {
@@ -258,8 +265,9 @@ Result<std::unique_ptr<SelectivityModel>> LoadBoxModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  return std::unique_ptr<SelectivityModel>(
-      new StaticHistogram(std::move(boxes), std::move(weights)));
+  auto model = StaticHistogram::Create(std::move(boxes), std::move(weights));
+  if (!model.ok()) return CannotServe(ctx, model.status());
+  return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
 
 Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
@@ -278,8 +286,9 @@ Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  return std::unique_ptr<SelectivityModel>(
-      new StaticPointModel(std::move(points), std::move(weights)));
+  auto model = StaticPointModel::Create(std::move(points), std::move(weights));
+  if (!model.ok()) return CannotServe(ctx, model.status());
+  return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
 
 Result<std::unique_ptr<SelectivityModel>> LoadGaussModel(
@@ -318,8 +327,8 @@ Status WritePlanModel(std::ostream& out, const CompiledPlan& plan) {
   out << "popts " << plan.volume_options().qmc_samples << ' '
       << plan.volume_options().halfspace_exact_max_dim << "\n";
   const size_t d = static_cast<size_t>(plan.dim());
-  const auto& lo = plan.box_lo();
-  const auto& hi = plan.box_hi();
+  const std::vector<double> lo = plan.box_lo();
+  const std::vector<double> hi = plan.box_hi();
   for (size_t j = 0; j < plan.num_box_entries(); ++j) {
     out << "pbox";
     for (size_t c = 0; c < d; ++c) out << ' ' << FormatExact(lo[j * d + c]);
@@ -401,13 +410,9 @@ Result<std::unique_ptr<SelectivityModel>> LoadPlanModel(
   if (records != ctx.num_buckets) {
     return Status::IOError("record count mismatch in " + ctx.path);
   }
-  auto plan = CompiledPlan::FromParts(std::move(parts));
-  if (!plan.ok()) {
-    return Status::IOError("invalid plan in " + ctx.path + ": " +
-                           plan.status().message());
-  }
-  return std::unique_ptr<SelectivityModel>(
-      new PlanModel(std::move(plan).value()));
+  auto model = PlanModel::Create(CompiledPlan::FromParts(std::move(parts)));
+  if (!model.ok()) return CannotServe(ctx, model.status());
+  return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
 
 Status SaveModel(const SelectivityModel& model, const std::string& path) {

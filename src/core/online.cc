@@ -16,12 +16,6 @@ namespace sel {
 
 namespace {
 
-/// Serves one query from a snapshot the way Estimate() would.
-double StateEstimate(const ServingState& state, const Query& query) {
-  if (state.plan != nullptr) return state.plan->EstimateOne(query);
-  return state.model->Estimate(query);
-}
-
 /// Q-error at one-tuple resolution (mirrors eval_metrics::QError; kept
 /// local so the serving core does not depend on the eval layer).
 double GateQError(double estimate, double truth) {
@@ -96,10 +90,9 @@ OnlineEstimator::OnlineEstimator(int domain_dim,
 
 double OnlineEstimator::Estimate(const Query& query) const {
   SEL_CHECK(query.dim() == dim_);
-  const std::shared_ptr<const ServingState> state = LoadState();
+  const std::shared_ptr<const SelectivityModel> state = LoadState();
   if (state == nullptr) return options_.prior_estimate;
-  if (state->plan != nullptr) return state->plan->EstimateOne(query);
-  return state->model->Estimate(query);
+  return state->Estimate(query);
 }
 
 Status OnlineEstimator::Feedback(const Query& query,
@@ -165,30 +158,20 @@ Status OnlineEstimator::RollbackLastGood() {
   return Status::OK();
 }
 
-Status OnlineEstimator::GateCandidate(const ServingState& candidate,
+Status OnlineEstimator::GateCandidate(const SelectivityModel& candidate,
                                       const Workload& holdout) const {
   if (SEL_FAULT_POINT("online.gate.holdout")) {
     return Status::FailedPrecondition(
         "candidate rejected (injected fault: online.gate.holdout)");
   }
   SEL_CHECK(!holdout.empty());
-  const std::shared_ptr<const ServingState> incumbent = LoadState();
-  // A candidate that lost the incumbent's compiled-plan capability would
-  // silently fall off the fast serving path; that's a regression, not a
-  // publishable state. (Non-lowerable estimators never had a plan, so
-  // nullptr == nullptr passes.)
-  if (incumbent != nullptr && incumbent->plan != nullptr &&
-      candidate.plan == nullptr) {
-    return Status::FailedPrecondition(
-        "candidate rejected: plan lowering regressed (incumbent serves a "
-        "compiled plan, candidate has none)");
-  }
+  const std::shared_ptr<const SelectivityModel> incumbent = LoadState();
   std::vector<double> cand_q;
   std::vector<double> inc_q;
   cand_q.reserve(holdout.size());
   inc_q.reserve(holdout.size());
   for (const auto& z : holdout) {
-    const double est = StateEstimate(candidate, z.query);
+    const double est = candidate.Estimate(z.query);
     // !(in range) also rejects NaN — a degenerate model never publishes.
     if (!(est >= 0.0 && est <= 1.0)) {
       return Status::FailedPrecondition(
@@ -197,7 +180,7 @@ Status OnlineEstimator::GateCandidate(const ServingState& candidate,
     }
     cand_q.push_back(GateQError(est, z.selectivity));
     if (incumbent != nullptr) {
-      inc_q.push_back(GateQError(StateEstimate(*incumbent, z.query),
+      inc_q.push_back(GateQError(incumbent->Estimate(z.query),
                                  z.selectivity));
     }
   }
@@ -216,7 +199,8 @@ Status OnlineEstimator::GateCandidate(const ServingState& candidate,
   return Status::OK();
 }
 
-void OnlineEstimator::Publish(std::shared_ptr<const ServingState> next) {
+void OnlineEstimator::Publish(
+    std::shared_ptr<const SelectivityModel> next) {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     state_ = next;
@@ -259,24 +243,21 @@ Status OnlineEstimator::RetrainNow() {
     spec.value().seed_set = true;
     auto fresh = EstimatorRegistry::Build(spec.value(), dim_, train.size());
     SEL_RETURN_IF_ERROR(fresh.status());
-    // Training and plan lowering run under the retrain wall-clock
-    // budget. Expiry never aborts: the solver chain degrades internally
-    // (best iterate, uniform floor) and the post-train check below
-    // rejects the degraded candidate — the incumbent keeps serving.
+    // Training, which ends by lowering the model to its plan, runs
+    // under the retrain wall-clock budget. Expiry never aborts: the
+    // solver chain degrades internally (best iterate, uniform floor) and
+    // the post-train check below rejects the degraded candidate — the
+    // incumbent keeps serving. A failed lowering fails the Train, so it
+    // counts as a failed retrain.
     ScopedDeadline train_scope(options_.train_deadline_ms > 0
                                    ? Deadline::AfterMillis(
                                          options_.train_deadline_ms)
                                    : TrainDeadlineFromEnv());
     SEL_RETURN_IF_ERROR(fresh.value()->Train(train));
-    // Compile the plan BEFORE publishing: the expensive lowering happens
-    // here on the retrain thread, and the publish below is a single
-    // pointer swap under the narrow state lock. Readers never observe a
-    // model without its plan (or block on the compile). shared_plan()
-    // honours SEL_SERVE_PLAN and returns nullptr for non-lowerable
-    // estimators — the snapshot then serves through the virtual path.
-    auto next = std::make_shared<ServingState>();
-    next->model = std::move(fresh).value();
-    next->plan = next->model->shared_plan();
+    // The expensive lowering already happened inside Train, here on the
+    // retrain thread; the publish below is a single pointer swap under
+    // the narrow state lock, so readers never block on it.
+    std::shared_ptr<const SelectivityModel> next = std::move(fresh).value();
     if (DeadlineExpired()) {
       reason = RejectReason::kDeadline;
       return Status::FailedPrecondition(

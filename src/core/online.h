@@ -15,16 +15,16 @@
 // (capped, reset on the next success) so a persistently bad window does
 // not burn a full retrain every `retrain_interval` queries.
 //
-// Serving never waits on retraining: the trained model and its
-// CompiledPlan travel together in an immutable ServingState snapshot.
-// RetrainNow() builds and compiles the fresh state entirely off to the
-// side and publishes it with a constant-time shared_ptr swap under a
-// narrow mutex — the same pointer-exchange std::atomic<shared_ptr>
-// performs behind its hidden spinlock (libstdc++'s is not lock-free,
-// and its relaxed reader unlock is formally racy under TSan), but
-// visible to the race detectors. Readers always see either the complete
-// old snapshot or the complete new one, and never block on the retrain
-// itself.
+// Serving never waits on retraining: a trained model carries the
+// CompiledPlan its Train built, so the model itself is the immutable
+// serving snapshot. RetrainNow() trains (and thereby lowers) the fresh
+// model entirely off to the side and publishes it with a constant-time
+// shared_ptr swap under a narrow mutex — the same pointer-exchange
+// std::atomic<shared_ptr> performs behind its hidden spinlock
+// (libstdc++'s is not lock-free, and its relaxed reader unlock is
+// formally racy under TSan), but visible to the race detectors. Readers
+// always see either the complete old model or the complete new one, and
+// never block on the retrain itself.
 #ifndef SEL_CORE_ONLINE_H_
 #define SEL_CORE_ONLINE_H_
 
@@ -38,14 +38,6 @@
 #include "workload/workload.h"
 
 namespace sel {
-
-/// One immutable serving snapshot: the trained model plus its compiled
-/// plan (nullptr when the estimator is non-lowerable or SEL_SERVE_PLAN
-/// is off, in which case the virtual Estimate path serves).
-struct ServingState {
-  std::unique_ptr<SelectivityModel> model;
-  std::shared_ptr<const CompiledPlan> plan;
-};
 
 /// Tunables for the online loop.
 struct OnlineOptions {
@@ -174,11 +166,10 @@ class OnlineEstimator {
   bool trained() const { return LoadState() != nullptr; }
 
   /// The plan currently serving, or nullptr before the first training
-  /// round / when the estimator is non-lowerable / when SEL_SERVE_PLAN
-  /// is off. Mostly for tests and introspection.
+  /// round / when the estimator is non-lowerable.
   std::shared_ptr<const CompiledPlan> serving_plan() const {
     const auto state = LoadState();
-    return state == nullptr ? nullptr : state->plan;
+    return state == nullptr ? nullptr : state->shared_plan();
   }
 
  private:
@@ -187,17 +178,17 @@ class OnlineEstimator {
 
   Status RetrainNow();
 
-  /// Validates a compiled candidate against the incumbent on the
+  /// Validates a trained candidate against the incumbent on the
   /// held-out slice; OK means "publish it".
-  Status GateCandidate(const ServingState& candidate,
+  Status GateCandidate(const SelectivityModel& candidate,
                        const Workload& holdout) const;
 
   /// Publishes `next` and pushes it onto the last-good ring.
-  void Publish(std::shared_ptr<const ServingState> next);
+  void Publish(std::shared_ptr<const SelectivityModel> next);
 
-  /// Snapshots the published state under the narrow lock (one refcount
+  /// Snapshots the published model under the narrow lock (one refcount
   /// bump — constant time, never held across training or estimation).
-  std::shared_ptr<const ServingState> LoadState() const {
+  std::shared_ptr<const SelectivityModel> LoadState() const {
     std::lock_guard<std::mutex> lock(state_mu_);
     return state_;
   }
@@ -205,16 +196,16 @@ class OnlineEstimator {
   int dim_;
   OnlineOptions options_;
   std::deque<LabeledQuery> window_;
-  /// The published snapshot; replaced wholesale by RetrainNow, copied by
+  /// The published model; replaced wholesale by RetrainNow, copied by
   /// readers. state_mu_ guards only the pointer copy/swap; shared_ptr
-  /// keeps a superseded snapshot alive until its last in-flight reader
+  /// keeps a superseded model alive until its last in-flight reader
   /// drops it.
   mutable std::mutex state_mu_;
-  std::shared_ptr<const ServingState> state_;
+  std::shared_ptr<const SelectivityModel> state_;
   /// Most recent accepted snapshots, oldest first; back() is the one
   /// currently published. Shares ownership with state_ — entries are
   /// cheap pointer copies. Guarded by state_mu_ alongside the swap.
-  std::deque<std::shared_ptr<const ServingState>> last_good_;
+  std::deque<std::shared_ptr<const SelectivityModel>> last_good_;
   size_t since_retrain_ = 0;
   std::atomic<size_t> retrain_count_{0};
   std::atomic<size_t> failed_retrain_count_{0};

@@ -101,13 +101,7 @@ Status PtsHist::Train(const Workload& workload) {
 
   trained_ = true;
   train_stats_.train_seconds = timer.Seconds();
-  return Status::OK();
-}
-
-double PtsHist::Estimate(const Query& query) const {
-  SEL_CHECK_MSG(trained_, "PtsHist::Estimate before Train");
-  SEL_CHECK(query.dim() == dim_);
-  return EstimateFromPointBuckets(query, points_, weights_);
+  return StorePlan();
 }
 
 Result<CompiledPlan> PtsHist::Compile() const {

@@ -1,7 +1,5 @@
 #include "core/quadhist.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
@@ -18,7 +16,7 @@ QuadHist::QuadHist(int domain_dim, const QuadHistOptions& options)
   SEL_CHECK_MSG(domain_dim >= 1 && domain_dim <= 16,
                 "QuadHist supports 1 <= d <= 16 (2^d-way splits)");
   SEL_CHECK(options_.tau > 0.0 && options_.tau < 1.0);
-  nodes_.push_back(Node{Box::Unit(dim_), -1, 0, 0.0, 0.0});
+  nodes_.push_back(Node{Box::Unit(dim_), -1, 0, 0.0});
   num_leaves_ = 1;
 }
 
@@ -41,7 +39,7 @@ void QuadHist::Split(int32_t u) {
       }
     }
     nodes_.push_back(Node{Box(std::move(lo), std::move(hi)), -1,
-                          static_cast<int16_t>(depth + 1), 0.0, 0.0});
+                          static_cast<int16_t>(depth + 1), 0.0});
   }
   nodes_[u].first_child = first;
   num_leaves_ += fanout - 1;
@@ -155,49 +153,10 @@ Status QuadHist::Train(const Workload& workload) {
       nodes_[u].weight = weights.value()[leaf_index[u]];
     }
   }
-  AccumulateSubtreeWeights(0);
 
   trained_ = true;
   train_stats_.train_seconds = timer.Seconds();
-  return Status::OK();
-}
-
-double QuadHist::AccumulateSubtreeWeights(int32_t u) {
-  if (IsLeaf(u)) {
-    nodes_[u].subtree_weight = nodes_[u].weight;
-    return nodes_[u].weight;
-  }
-  double sum = 0.0;
-  const int32_t first = nodes_[u].first_child;
-  const uint32_t fanout = 1u << dim_;
-  for (uint32_t c = 0; c < fanout; ++c) {
-    sum += AccumulateSubtreeWeights(first + static_cast<int32_t>(c));
-  }
-  nodes_[u].subtree_weight = sum;
-  return sum;
-}
-
-double QuadHist::EstimateNode(int32_t u, const Query& query) const {
-  const Node& n = nodes_[u];
-  if (n.subtree_weight == 0.0) return 0.0;
-  if (query.DisjointFromBox(n.box)) return 0.0;
-  if (query.ContainsBox(n.box)) return n.subtree_weight;
-  if (IsLeaf(u)) {
-    return n.weight * QueryBoxFraction(query, n.box, options_.volume);
-  }
-  double s = 0.0;
-  const int32_t first = n.first_child;
-  const uint32_t fanout = 1u << dim_;
-  for (uint32_t c = 0; c < fanout; ++c) {
-    s += EstimateNode(first + static_cast<int32_t>(c), query);
-  }
-  return s;
-}
-
-double QuadHist::Estimate(const Query& query) const {
-  SEL_CHECK_MSG(trained_, "QuadHist::Estimate before Train");
-  SEL_CHECK(query.dim() == dim_);
-  return std::clamp(EstimateNode(0, query), 0.0, 1.0);
+  return StorePlan();
 }
 
 std::vector<Box> QuadHist::LeafBoxes() const {

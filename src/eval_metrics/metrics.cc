@@ -66,10 +66,10 @@ std::vector<double> EstimateBatch(const SelectivityModel& model,
   SEL_TRACE_SPAN("predict.batch");
   SEL_METRIC_SCOPED_LATENCY("predict.batch_us");
   SEL_METRIC_COUNTER_ADD("predict.queries_total", queries.size());
-  // Serve through the compiled plan when the model lowers (and the
-  // SEL_SERVE_PLAN escape hatch is open); otherwise fall back to the
-  // virtual Estimate path. The shared_ptr keeps the plan alive for the
-  // whole batch even if the model retrains concurrently.
+  // Lowerable models serve through the plan their Train built, read
+  // directly so the batch can collect pruning stats; non-lowerable ones
+  // (gmm, avi) estimate on their own. The shared_ptr keeps the plan
+  // alive for the whole batch.
   const std::shared_ptr<const CompiledPlan> plan = model.shared_plan();
   if (plan != nullptr) {
     SEL_METRIC_SCOPED_LATENCY("serve.plan.batch_us");

@@ -35,11 +35,10 @@ ErrorReport ComputeErrors(const std::vector<double>& estimates,
 /// Batched prediction: estimates[i] = model.Estimate(queries[i].query),
 /// computed in parallel on the shared pool (Estimate is const and
 /// side-effect free for every model in the library). Lowerable models
-/// serve through their cached CompiledPlan (shared_plan()) unless
-/// SEL_SERVE_PLAN=0; everything else stays on the virtual path. When the
-/// metrics registry is enabled, per-query latencies land in the
-/// "predict.query_us" histogram and the plan path feeds the
-/// serve.plan.* instruments.
+/// serve through the CompiledPlan their Train built (shared_plan());
+/// gmm and avi estimate on their own. When the metrics registry is
+/// enabled, per-query latencies land in the "predict.query_us" histogram
+/// and the plan path feeds the serve.plan.* instruments.
 std::vector<double> EstimateBatch(const SelectivityModel& model,
                                   const Workload& queries);
 

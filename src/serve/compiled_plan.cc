@@ -1,46 +1,15 @@
 #include "serve/compiled_plan.h"
 
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace sel {
-
-namespace serve_internal {
-
-std::atomic<bool> g_serve_plan_enabled{true};
-
-namespace {
-/// One-time SEL_SERVE_PLAN parse, mirroring the SEL_METRICS knob: any
-/// value other than "0"/"false"/"off" keeps plan serving on.
-bool InitServePlanFromEnv() {
-  const std::string v = GetEnvString("SEL_SERVE_PLAN", "1");
-  const bool enabled = !(v == "0" || v == "false" || v == "off");
-  g_serve_plan_enabled.store(enabled, std::memory_order_relaxed);
-  return enabled;
-}
-}  // namespace
-
-}  // namespace serve_internal
-
-bool ServePlanEnabled() {
-  static const bool init = serve_internal::InitServePlanFromEnv();
-  (void)init;
-  return serve_internal::g_serve_plan_enabled.load(std::memory_order_relaxed);
-}
-
-void SetServePlanEnabled(bool enabled) {
-  (void)ServePlanEnabled();  // force the env parse first, so it never wins
-  serve_internal::g_serve_plan_enabled.store(enabled,
-                                             std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -299,14 +268,9 @@ Result<CompiledPlan> CompiledPlan::FromParts(Parts parts) {
   plan.dim_ = parts.dim;
   plan.source_ = std::move(parts.source);
   plan.volume_ = parts.volume;
-  plan.box_lo_ = std::move(parts.box_lo);
-  plan.box_hi_ = std::move(parts.box_hi);
-  plan.box_weight_ = std::move(parts.box_weight);
-  plan.box_inv_vol_ = std::move(parts.box_inv_vol);
-  plan.point_weight_ = std::move(parts.point_weight);
-  plan.point_entries_ = std::move(parts.points);
-  plan.BuildBoxTree();
-  plan.BuildPointTree();
+  plan.BuildBoxSegment(parts.box_lo, parts.box_hi, parts.box_weight,
+                       parts.box_inv_vol);
+  plan.BuildPointSegment(parts.points, parts.point_weight);
   return plan;
 }
 
@@ -322,82 +286,89 @@ void CheckKernelStoreAlignment(const AlignedVector& v) {
 
 }  // namespace
 
-void CompiledPlan::BuildBoxTree() {
+void CompiledPlan::BuildBoxSegment(const std::vector<double>& lo,
+                                   const std::vector<double>& hi,
+                                   const std::vector<double>& weight,
+                                   const std::vector<double>& inv_vol) {
   const size_t d = static_cast<size_t>(dim_);
   std::vector<uint32_t> order;
-  TreeBuilder<Node>(box_lo_, box_hi_, box_weight_, dim_, &order, &box_nodes_);
-  if (order.empty()) return;
-  // Apply the tree's permutation so leaves scan contiguous memory.
-  std::vector<double> lo(box_lo_.size()), hi(box_hi_.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    const size_t src = static_cast<size_t>(order[i]) * d;
-    std::copy_n(box_lo_.begin() + src, d, lo.begin() + i * d);
-    std::copy_n(box_hi_.begin() + src, d, hi.begin() + i * d);
-  }
-  box_lo_ = std::move(lo);
-  box_hi_ = std::move(hi);
-  box_weight_ = Permute(box_weight_, order);
-  box_inv_vol_ = Permute(box_inv_vol_, order);
-  box_entries_.reserve(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    Point blo(d), bhi(d);
-    std::copy_n(box_lo_.begin() + i * d, d, blo.begin());
-    std::copy_n(box_hi_.begin() + i * d, d, bhi.begin());
-    box_entries_.emplace_back(std::move(blo), std::move(bhi));
-  }
-  // Coordinate-major kernel mirror, over-allocated to a block multiple
-  // with never-intersecting sentinel boxes (any query clamps their
-  // width to <= -4 < 0, so over-read lanes are dead before the tail
-  // mask even applies) — the leaf kernels never run a scalar tail.
+  TreeBuilder<Node>(lo, hi, weight, dim_, &order, &box_nodes_);
   const size_t n = order.size();
+  if (n == 0) return;
+  // Lay the entries out in the tree's order so leaves scan contiguous
+  // memory. The coordinate-major store is over-allocated to a block
+  // multiple with never-intersecting sentinel boxes (any query clamps
+  // their width to <= -4 < 0, so over-read lanes are dead before the
+  // tail mask even applies) — the leaf kernels never run a scalar tail.
   box_stride_ = SimdPaddedCount(n);
-  box_lo_cm_.assign(d * box_stride_, 2.0);
-  box_hi_cm_.assign(d * box_stride_, -2.0);
-  box_weight_pad_.assign(box_stride_, 0.0);
-  box_inv_vol_pad_.assign(box_stride_, 0.0);
+  box_lo_.assign(d * box_stride_, 2.0);
+  box_hi_.assign(d * box_stride_, -2.0);
+  box_weight_.assign(box_stride_, 0.0);
+  box_inv_vol_.assign(box_stride_, 0.0);
+  box_entries_.reserve(n);
   for (size_t j = 0; j < n; ++j) {
+    const size_t src = order[j];
+    Point blo(d), bhi(d);
     for (size_t c = 0; c < d; ++c) {
-      box_lo_cm_[c * box_stride_ + j] = box_lo_[j * d + c];
-      box_hi_cm_[c * box_stride_ + j] = box_hi_[j * d + c];
+      blo[c] = box_lo_[c * box_stride_ + j] = lo[src * d + c];
+      bhi[c] = box_hi_[c * box_stride_ + j] = hi[src * d + c];
     }
-    box_weight_pad_[j] = box_weight_[j];
-    box_inv_vol_pad_[j] = box_inv_vol_[j];
+    box_entries_.emplace_back(std::move(blo), std::move(bhi));
+    box_weight_[j] = weight[src];
+    box_inv_vol_[j] = inv_vol[src];
   }
-  CheckKernelStoreAlignment(box_lo_cm_);
-  CheckKernelStoreAlignment(box_hi_cm_);
-  CheckKernelStoreAlignment(box_weight_pad_);
-  CheckKernelStoreAlignment(box_inv_vol_pad_);
+  CheckKernelStoreAlignment(box_lo_);
+  CheckKernelStoreAlignment(box_hi_);
+  CheckKernelStoreAlignment(box_weight_);
+  CheckKernelStoreAlignment(box_inv_vol_);
 }
 
-void CompiledPlan::BuildPointTree() {
+void CompiledPlan::BuildPointSegment(const std::vector<Point>& points,
+                                     const std::vector<double>& weight) {
   const size_t d = static_cast<size_t>(dim_);
-  const size_t n = point_entries_.size();
+  const size_t n = points.size();
   if (n == 0) return;
   // The builder wants entry-major bboxes; a point's bbox is itself.
   std::vector<double> coords(n * d);
   for (size_t j = 0; j < n; ++j) {
-    std::copy_n(point_entries_[j].begin(), d, coords.begin() + j * d);
+    std::copy_n(points[j].begin(), d, coords.begin() + j * d);
   }
   std::vector<uint32_t> order;
-  TreeBuilder<Node>(coords, coords, point_weight_, dim_, &order,
-                    &point_nodes_);
-  point_weight_ = Permute(point_weight_, order);
-  point_entries_ = Permute(point_entries_, order);
+  TreeBuilder<Node>(coords, coords, weight, dim_, &order, &point_nodes_);
   // Padded coordinate-major kernel store: run c holds coordinate c of
   // every point, so the box kernel mask-filters a leaf one contiguous
   // dimension at a time. Sentinel entries carry weight 0, so over-read
   // lanes beyond the last entry contribute exactly +0.0.
   point_stride_ = SimdPaddedCount(n);
   point_coords_.assign(d * point_stride_, 0.0);
-  point_weight_pad_.assign(point_stride_, 0.0);
+  point_weight_.assign(point_stride_, 0.0);
+  point_entries_ = Permute(points, order);
   for (size_t j = 0; j < n; ++j) {
     for (size_t c = 0; c < d; ++c) {
       point_coords_[c * point_stride_ + j] = point_entries_[j][c];
     }
-    point_weight_pad_[j] = point_weight_[j];
+    point_weight_[j] = weight[order[j]];
   }
   CheckKernelStoreAlignment(point_coords_);
-  CheckKernelStoreAlignment(point_weight_pad_);
+  CheckKernelStoreAlignment(point_weight_);
+}
+
+std::vector<double> CompiledPlan::box_lo() const {
+  std::vector<double> out;
+  out.reserve(num_box_entries() * static_cast<size_t>(dim_));
+  for (const Box& b : box_entries_) {
+    out.insert(out.end(), b.lo().begin(), b.lo().end());
+  }
+  return out;
+}
+
+std::vector<double> CompiledPlan::box_hi() const {
+  std::vector<double> out;
+  out.reserve(num_box_entries() * static_cast<size_t>(dim_));
+  for (const Box& b : box_entries_) {
+    out.insert(out.end(), b.hi().begin(), b.hi().end());
+  }
+  return out;
 }
 
 double CompiledPlan::EvalBoxNode(int32_t id, const Query& query,
@@ -412,13 +383,13 @@ double CompiledPlan::EvalBoxNode(int32_t id, const Query& query,
     if (n.left < 0) {
       if (stats != nullptr) stats->entries_visited += n.end - n.begin;
       // Vectorized clamp/intersect over the padded coordinate-major
-      // mirror: per entry the same arithmetic as
+      // store: per entry the same arithmetic as
       // BoxBoxIntersectionVolume with the division replaced by the
       // precomputed inverse volume, branchless, dispatched per
       // SEL_SIMD (common/simd.h).
-      return SimdBoxLeafSum(qlo.data(), qhi.data(), dim_, box_lo_cm_.data(),
-                            box_hi_cm_.data(), box_weight_pad_.data(),
-                            box_inv_vol_pad_.data(), box_stride_, n.begin,
+      return SimdBoxLeafSum(qlo.data(), qhi.data(), dim_, box_lo_.data(),
+                            box_hi_.data(), box_weight_.data(),
+                            box_inv_vol_.data(), box_stride_, n.begin,
                             n.end);
     }
   } else {
@@ -453,7 +424,7 @@ double CompiledPlan::EvalPointNode(int32_t id, const Query& query,
       // coordinate-major runs — real vector bitmask operations under
       // SSE2/AVX2 dispatch (common/simd.h).
       return SimdPointLeafSum(qlo.data(), qhi.data(), dim_,
-                              point_coords_.data(), point_weight_pad_.data(),
+                              point_coords_.data(), point_weight_.data(),
                               point_stride_, n.begin, n.end);
     }
   } else {

@@ -4,29 +4,34 @@
 // Σ_j w_j·1(p_j∈R) over point buckets. A CompiledPlan is the immutable,
 // flattened lowering of a trained model to exactly those two forms:
 //
-//  * box buckets as structure-of-arrays `lo[]`/`hi[]`/`weight[]`/
-//    `inv_vol[]` (inverse volumes precomputed once at compile time
-//    instead of per call), mirrored into 64-byte-aligned, padded
-//    coordinate-major runs that the runtime-dispatched SIMD leaf
-//    kernels (common/simd.h) scan full-width with no scalar tails,
+//  * box buckets as 64-byte-aligned, padded coordinate-major runs of
+//    lo/hi plus padded weight/inverse-volume arrays (inverse volumes
+//    precomputed once at compile time instead of per call), which the
+//    runtime-dispatched SIMD leaf kernels (common/simd.h) scan
+//    full-width with no scalar tails, and the same boxes as Box objects
+//    for the non-box query kernels,
 //  * point buckets as padded coordinate-major arrays (one contiguous
 //    run per dimension, so the box fast path mask-filters a leaf one
-//    dimension at a time),
+//    dimension at a time) plus the points themselves,
 //  * a bucket-pruning kd-tree per segment (median split over bucket
 //    bounding boxes, the CountingKdTree machinery): nodes cache their
 //    bbox and subtree weight sum, so a query skips disjoint subtrees
 //    outright and absorbs fully-contained subtrees as one cached sum.
 //
-// Plans are built by SelectivityModel::Compile() (see core/model.h),
-// served through EstimateOne/EstimateMany, swapped wholesale by
-// OnlineEstimator without interrupting readers, and serialized by
-// model_io under the "plan" registry kind. The layer depends only on geometry/common — estimators depend on
-// it, never the reverse.
+// Only the box and point coordinates are held twice (kernel store and
+// Box/Point objects); every other value is stored once. Plans are built
+// by SelectivityModel::Compile() (see core/model.h) at the end of Train,
+// and every SelectivityModel::Estimate of a lowerable model is answered
+// by EstimateOne. OnlineEstimator swaps whole trained models (and with them
+// their plans) without interrupting readers, and model_io serializes
+// plans under the "plan" registry kind. The layer depends only on
+// geometry/common — estimators depend on it, never the reverse.
 #ifndef SEL_SERVE_COMPILED_PLAN_H_
 #define SEL_SERVE_COMPILED_PLAN_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,17 +42,6 @@
 #include "geometry/volume.h"
 
 namespace sel {
-
-/// True iff automatic plan serving is on (the default). The SEL_SERVE_PLAN
-/// environment knob — parsed on first use — is the escape hatch:
-/// SEL_SERVE_PLAN=0 pins every batch path back to the virtual
-/// Estimate(Query) so a plan-lowering bug can be ruled out in production
-/// without a rebuild. Explicitly constructed plans (PlanModel, selcli
-/// compile) are not gated: the knob controls auto-lowering, not the IR.
-bool ServePlanEnabled();
-
-/// Programmatic override of the SEL_SERVE_PLAN knob (tests, selcli).
-void SetServePlanEnabled(bool enabled);
 
 /// Pruning accounting for one evaluation (or an aggregated batch):
 /// `entries_visited` counts the buckets actually scanned in leaves;
@@ -70,8 +64,8 @@ struct PlanEvalStats {
 /// volume: weight * clamp(vol(B∩R) * inv_vol, 0, 1). An `inv_vol` of 0 is
 /// the degenerate-bucket sentinel (zero-volume box): the fraction
 /// degenerates to center containment, matching QueryBoxFraction. Kept
-/// inline and used by both the legacy EstimateFromBoxBuckets path and
-/// the plan kernels so the two are arithmetically identical per bucket.
+/// inline so the plan's non-box kernels and the kernel tests' reference
+/// sums share the per-bucket arithmetic.
 inline double BoxBucketTerm(const Query& query, const Box& box,
                             double weight, double inv_vol,
                             const VolumeOptions& opts) {
@@ -128,8 +122,8 @@ class CompiledPlan {
                                    PlanEvalStats* stats = nullptr) const;
 
   int dim() const { return dim_; }
-  size_t num_box_entries() const { return box_weight_.size(); }
-  size_t num_point_entries() const { return point_weight_.size(); }
+  size_t num_box_entries() const { return box_entries_.size(); }
+  size_t num_point_entries() const { return point_entries_.size(); }
   /// Total entries (the plan's NumBuckets analogue).
   size_t size() const { return num_box_entries() + num_point_entries(); }
   /// Registry name of the model this plan was lowered from ("quadhist",
@@ -138,17 +132,21 @@ class CompiledPlan {
   const VolumeOptions& volume_options() const { return volume_; }
 
   // --- Serialization accessors (entries in internal, tree-built order;
-  // box arrays are dim-major: entry j, coordinate c at [j*dim + c]). ---
-  const std::vector<double>& box_lo() const { return box_lo_; }
-  const std::vector<double>& box_hi() const { return box_hi_; }
-  const std::vector<double>& box_weight() const { return box_weight_; }
-  const std::vector<double>& box_inv_vol() const { return box_inv_vol_; }
-  /// Point coordinate c of point entry j (backed by the padded
-  /// coordinate-major kernel store: one contiguous run per dimension).
-  double point_coord(size_t j, int c) const {
-    return point_coords_[static_cast<size_t>(c) * point_stride_ + j];
+  // box arrays are dim-major: entry j, coordinate c at [j*dim + c],
+  // rebuilt from the Box objects on each call). ---
+  std::vector<double> box_lo() const;
+  std::vector<double> box_hi() const;
+  std::span<const double> box_weight() const {
+    return {box_weight_.data(), num_box_entries()};
   }
-  const std::vector<double>& point_weight() const { return point_weight_; }
+  std::span<const double> box_inv_vol() const {
+    return {box_inv_vol_.data(), num_box_entries()};
+  }
+  /// Point coordinate c of point entry j.
+  double point_coord(size_t j, int c) const { return point_entries_[j][c]; }
+  std::span<const double> point_weight() const {
+    return {point_weight_.data(), num_point_entries()};
+  }
 
  private:
   /// One pruning-tree node over a contiguous entry range [begin, end).
@@ -163,8 +161,14 @@ class CompiledPlan {
 
   CompiledPlan() = default;
 
-  void BuildBoxTree();
-  void BuildPointTree();
+  /// Builds the box segment from entry-major `lo`/`hi` (entry j,
+  /// coordinate c at [j*dim + c]) and per-entry weights/inverse volumes.
+  void BuildBoxSegment(const std::vector<double>& lo,
+                       const std::vector<double>& hi,
+                       const std::vector<double>& weight,
+                       const std::vector<double>& inv_vol);
+  void BuildPointSegment(const std::vector<Point>& points,
+                         const std::vector<double>& weight);
 
   double EvalBoxNode(int32_t id, const Query& query, const Box* query_box,
                      PlanEvalStats* stats) const;
@@ -175,35 +179,29 @@ class CompiledPlan {
   std::string source_;
   VolumeOptions volume_;
 
-  // Box segment: entry-major SoA (serialization order) plus
-  // materialized Box objects (same order) for the non-box query
-  // kernels, which reuse the exact QueryBoxIntersectionVolume
-  // arithmetic of the virtual path.
-  std::vector<double> box_lo_;
-  std::vector<double> box_hi_;
-  std::vector<double> box_weight_;
-  std::vector<double> box_inv_vol_;
+  // Box segment, in tree order. The kernel store holds coordinate-major
+  // lo/hi (run c starts at c * box_stride_) and weight/inv_vol, 64-byte
+  // aligned and padded to box_stride_ = SimdPaddedCount(n) with
+  // never-intersecting sentinel boxes (lo=+2, hi=-2, weight=0,
+  // inv_vol=0), so the SIMD leaf kernels run full-width blocks with no
+  // scalar tails (DESIGN.md §12). The Box objects serve the non-box
+  // query kernels, which reuse the exact QueryBoxIntersectionVolume
+  // arithmetic.
+  AlignedVector box_lo_;
+  AlignedVector box_hi_;
+  AlignedVector box_weight_;
+  AlignedVector box_inv_vol_;
+  size_t box_stride_ = 0;
   std::vector<Box> box_entries_;
   std::vector<Node> box_nodes_;
 
-  // Box kernel store: coordinate-major mirrors (run c of lo/hi starts
-  // at c * box_stride_), 64-byte aligned and padded to box_stride_ =
-  // SimdPaddedCount(n) with never-intersecting sentinel boxes
-  // (lo=+2, hi=-2, weight=0, inv_vol=0), so the SIMD leaf kernels run
-  // full-width blocks with no scalar tails (DESIGN.md §12).
-  AlignedVector box_lo_cm_;
-  AlignedVector box_hi_cm_;
-  AlignedVector box_weight_pad_;
-  AlignedVector box_inv_vol_pad_;
-  size_t box_stride_ = 0;
-
-  // Point segment: padded coordinate-major coords (run c holds
-  // coordinate c of every point, stride point_stride_, zero-weight
-  // sentinel tail) plus materialized Points for Query::Contains.
+  // Point segment, in tree order: padded coordinate-major coords (run c
+  // holds coordinate c of every point, stride point_stride_) and
+  // weights with a zero-weight sentinel tail, plus the Points for
+  // Query::Contains.
   AlignedVector point_coords_;
-  AlignedVector point_weight_pad_;
+  AlignedVector point_weight_;
   size_t point_stride_ = 0;
-  std::vector<double> point_weight_;
   std::vector<Point> point_entries_;
   std::vector<Node> point_nodes_;
 };

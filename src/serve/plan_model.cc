@@ -2,22 +2,24 @@
 
 #include <utility>
 
-#include "common/check.h"
 #include "core/estimator_registry.h"
 #include "core/model_io.h"
 
 namespace sel {
 
 PlanModel::PlanModel(CompiledPlan plan)
-    : plan_(std::make_shared<const CompiledPlan>(std::move(plan))) {}
+    : SelectivityModel(
+          std::make_shared<const CompiledPlan>(std::move(plan))) {}
+
+Result<std::unique_ptr<PlanModel>> PlanModel::Create(
+    Result<CompiledPlan> plan) {
+  if (!plan.ok()) return plan.status();
+  return std::unique_ptr<PlanModel>(new PlanModel(std::move(plan).value()));
+}
 
 Status PlanModel::Train(const Workload&) {
   return Status::FailedPrecondition(
       "CompiledPlan is immutable; recompile from a trained estimator");
-}
-
-double PlanModel::Estimate(const Query& query) const {
-  return plan_->EstimateOne(query);
 }
 
 namespace {
@@ -31,11 +33,10 @@ Result<std::unique_ptr<SelectivityModel>> BuildPlanModel(
   SpecOptionReader reader(spec);
   const Status st = reader.Finish();
   if (!st.ok()) return st;
-  auto plan = CompiledPlan::FromBoxBuckets({Box::Unit(dim)}, {1.0},
-                                           VolumeOptions{}, "plan");
-  if (!plan.ok()) return plan.status();
-  return std::unique_ptr<SelectivityModel>(
-      new PlanModel(std::move(plan).value()));
+  auto model = PlanModel::Create(CompiledPlan::FromBoxBuckets(
+      {Box::Unit(dim)}, {1.0}, VolumeOptions{}, "plan"));
+  if (!model.ok()) return model.status();
+  return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
 
 Status SavePlanModel(const SelectivityModel& model, std::ostream& out) {
@@ -43,7 +44,7 @@ Status SavePlanModel(const SelectivityModel& model, std::ostream& out) {
   if (pm == nullptr) {
     return Status::InvalidArgument("save hook: model is not a PlanModel");
   }
-  return WritePlanModel(out, *pm->plan());
+  return WritePlanModel(out, *pm->shared_plan());
 }
 
 }  // namespace

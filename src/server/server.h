@@ -15,9 +15,9 @@
 // dropped, so overload degrades throughput but never memory.
 //
 // Serving stays uninterrupted across retrains: every batch snapshots
-// the estimator's published ServingState (constant-time shared_ptr
-// copy), so Feedback-driven republication underneath never tears or
-// stalls an estimate. Feedback frames are serialized through one mutex
+// the estimator's published plan (constant-time shared_ptr copy), so
+// Feedback-driven republication underneath never tears or stalls an
+// estimate. Feedback frames are serialized through one mutex
 // (OnlineEstimator's window mutation is single-writer by contract);
 // estimates never take that lock.
 //

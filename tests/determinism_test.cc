@@ -122,11 +122,8 @@ TEST(SweepDeterminismTest, EvaluateModelMatchesSerialLoop) {
   QuadHist model(data.dim(), o);
   ASSERT_TRUE(model.Train(train).ok());
 
-  // Pin the virtual path: the batched loop must match the serial
-  // Estimate calls bit for bit. (The compiled-plan path sums buckets in
-  // its own canonical order — its equivalence and determinism are
-  // covered below and in serve_plan_test.)
-  SetServePlanEnabled(false);
+  // The batched loop must match the serial Estimate calls bit for bit
+  // (both are answered by the plan Train built) ...
   {
     ThreadPool pool(8);
     ScopedPoolOverride scope(&pool);
@@ -137,8 +134,7 @@ TEST(SweepDeterminismTest, EvaluateModelMatchesSerialLoop) {
     }
   }
 
-  // The plan path must itself be thread-count invariant.
-  SetServePlanEnabled(true);
+  // ... and be thread-count invariant.
   std::vector<double> plan1, plan8;
   {
     ThreadPool pool(1);

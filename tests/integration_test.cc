@@ -12,9 +12,16 @@
 namespace sel {
 namespace {
 
+/// The first `dim` attribute indices of a dataset.
+std::vector<int> FirstColumns(int dim) {
+  std::vector<int> cols(static_cast<size_t>(dim));
+  for (int j = 0; j < dim; ++j) cols[j] = j;
+  return cols;
+}
+
 struct Pipeline {
-  explicit Pipeline(uint64_t seed = 500)
-      : data(MakePowerLike(5000, seed).Project({0, 1})),
+  explicit Pipeline(uint64_t seed = 500, int dim = 2)
+      : data(MakePowerLike(5000, seed).Project(FirstColumns(dim))),
         index(data.rows()) {}
 
   Workload Make(size_t n, uint64_t seed,
@@ -58,6 +65,32 @@ std::unique_ptr<SelectivityModel> BuildOrDie(const std::string& spec,
   return std::move(r).value();
 }
 
+// Registry estimators plus the arrangement learner of §3.1, which the
+// registry does not carry; "arrangement:discrete" is its Eq. (7) mode.
+std::unique_ptr<SelectivityModel> BuildModel(const std::string& kind,
+                                             int dim, size_t n) {
+  if (kind.rfind("arrangement", 0) == 0) {
+    ArrangementOptions o;
+    if (kind == "arrangement:discrete") {
+      o.mode = ArrangementOptions::Mode::kDiscrete;
+    }
+    return std::make_unique<ArrangementLearner>(dim, o);
+  }
+  return BuildOrDie(kind, dim, n);
+}
+
+// The arrangement grid has O((2n)^d) cells, so that learner trains on a
+// 12-query prefix; every other model trains on the whole workload.
+Workload TrainingSetFor(const std::string& kind, const Workload& train) {
+  if (kind.rfind("arrangement", 0) != 0) return train;
+  return Workload(train.begin(),
+                  train.begin() + std::min<size_t>(12, train.size()));
+}
+
+// The paper's invariants hold for every distribution-backed model on
+// the one path that serves, in every dimension checked here.
+const int kInvariantDims[] = {1, 2, 3};
+
 TEST(IntegrationTest, EveryModelBeatsTheMeanPredictor) {
   Pipeline p;
   const Workload train = p.Make(150, 501);
@@ -91,44 +124,61 @@ TEST(IntegrationTest, ErrorDecreasesWithTrainingSizeAllModels) {
 TEST(IntegrationTest, MonotoneUnderBoxNesting) {
   // §4 "Methods Compared": distribution-backed estimators are monotone —
   // a containing box can never have smaller estimated selectivity.
-  Pipeline p;
-  const Workload train = p.Make(150, 506);
-  Rng rng(507);
-  for (const char* kind : {"quadhist", "ptshist", "quicksel",
-                            "isomer"}) {
-    auto model = BuildOrDie(kind, 2, train.size());
-    ASSERT_TRUE(model->Train(train).ok());
-    for (int t = 0; t < 40; ++t) {
-      Point c = {rng.NextDouble(), rng.NextDouble()};
-      Point w_in = {rng.Uniform(0.05, 0.4), rng.Uniform(0.05, 0.4)};
-      Point w_out = {w_in[0] + rng.Uniform(0.0, 0.4),
-                     w_in[1] + rng.Uniform(0.0, 0.4)};
-      const Box inner = Box::FromCenterAndWidths(c, w_in, Box::Unit(2));
-      const Box outer = Box::FromCenterAndWidths(c, w_out, Box::Unit(2));
-      EXPECT_LE(model->Estimate(inner), model->Estimate(outer) + 1e-9)
-          << kind;
+  for (int d : kInvariantDims) {
+    Pipeline p(500, d);
+    const Workload train = p.Make(150, 506);
+    Rng rng(505 + d);
+    for (const char* kind : {"quadhist", "ptshist", "quicksel", "isomer",
+                             "arrangement", "arrangement:discrete"}) {
+      auto model = BuildModel(kind, d, train.size());
+      ASSERT_TRUE(model->Train(TrainingSetFor(kind, train)).ok())
+          << kind << " d=" << d;
+      for (int t = 0; t < 40; ++t) {
+        Point c(d), w_in(d), w_out(d);
+        for (int j = 0; j < d; ++j) c[j] = rng.NextDouble();
+        for (int j = 0; j < d; ++j) w_in[j] = rng.Uniform(0.05, 0.4);
+        for (int j = 0; j < d; ++j) {
+          w_out[j] = w_in[j] + rng.Uniform(0.0, 0.4);
+        }
+        const Box inner = Box::FromCenterAndWidths(c, w_in, Box::Unit(d));
+        const Box outer = Box::FromCenterAndWidths(c, w_out, Box::Unit(d));
+        EXPECT_LE(model->Estimate(inner), model->Estimate(outer) + 1e-9)
+            << kind << " d=" << d;
+      }
     }
   }
 }
 
 TEST(IntegrationTest, ConsistentAdditivityOverDisjointSplits) {
   // Histogram estimates are finitely additive: splitting a box into two
-  // disjoint halves sums back (another §4 consistency property).
-  Pipeline p;
-  const Workload train = p.Make(150, 508);
-  auto model = BuildOrDie("quadhist", 2, train.size());
-  ASSERT_TRUE(model->Train(train).ok());
-  Rng rng(509);
-  for (int t = 0; t < 30; ++t) {
-    Point lo = {rng.Uniform(0.0, 0.5), rng.Uniform(0.0, 0.5)};
-    Point hi = {lo[0] + rng.Uniform(0.1, 0.45),
-                lo[1] + rng.Uniform(0.1, 0.45)};
-    const double mid = 0.5 * (lo[0] + hi[0]);
-    const Box whole(lo, hi);
-    const Box left(lo, {mid, hi[1]});
-    const Box right({mid, lo[1]}, hi);
-    EXPECT_NEAR(model->Estimate(left) + model->Estimate(right),
-                model->Estimate(whole), 1e-6);
+  // disjoint halves sums back (another §4 consistency property). Point
+  // buckets add up only up to boundary mass, so the box-bucket models
+  // are checked.
+  for (int d : kInvariantDims) {
+    Pipeline p(500, d);
+    const Workload train = p.Make(150, 508);
+    Rng rng(507 + d);
+    for (const char* kind : {"quadhist", "quicksel", "isomer",
+                             "arrangement"}) {
+      auto model = BuildModel(kind, d, train.size());
+      ASSERT_TRUE(model->Train(TrainingSetFor(kind, train)).ok())
+          << kind << " d=" << d;
+      for (int t = 0; t < 30; ++t) {
+        Point lo(d), hi(d);
+        for (int j = 0; j < d; ++j) lo[j] = rng.Uniform(0.0, 0.5);
+        for (int j = 0; j < d; ++j) hi[j] = lo[j] + rng.Uniform(0.1, 0.45);
+        const double mid = 0.5 * (lo[0] + hi[0]);
+        Point left_hi = hi, right_lo = lo;
+        left_hi[0] = mid;
+        right_lo[0] = mid;
+        const Box whole(lo, hi);
+        const Box left(lo, left_hi);
+        const Box right(right_lo, hi);
+        EXPECT_NEAR(model->Estimate(left) + model->Estimate(right),
+                    model->Estimate(whole), 1e-6)
+            << kind << " d=" << d;
+      }
+    }
   }
 }
 
@@ -250,16 +300,19 @@ TEST(IntegrationTest, CategoricalPipelineEndToEnd) {
 }
 
 TEST(IntegrationTest, EstimateFullAndEmptyExtremes) {
-  Pipeline p;
-  const Workload train = p.Make(100, 522);
-  for (const char* kind : {"quadhist", "ptshist", "quicksel",
-                            "isomer"}) {
-    auto model = BuildOrDie(kind, 2, train.size());
-    ASSERT_TRUE(model->Train(train).ok());
-    EXPECT_NEAR(model->Estimate(Box::Unit(2)), 1.0, 1e-5)
-        << kind;
-    const Box empty({0.999, 0.999}, {1.0, 1.0});
-    EXPECT_LE(model->Estimate(empty), 0.2) << kind;
+  for (int d : kInvariantDims) {
+    Pipeline p(500, d);
+    const Workload train = p.Make(100, 522);
+    for (const char* kind : {"quadhist", "ptshist", "quicksel", "isomer",
+                             "arrangement", "arrangement:discrete"}) {
+      auto model = BuildModel(kind, d, train.size());
+      ASSERT_TRUE(model->Train(TrainingSetFor(kind, train)).ok())
+          << kind << " d=" << d;
+      EXPECT_NEAR(model->Estimate(Box::Unit(d)), 1.0, 1e-5)
+          << kind << " d=" << d;
+      const Box empty(Point(d, 0.999), Point(d, 1.0));
+      EXPECT_LE(model->Estimate(empty), 0.2) << kind << " d=" << d;
+    }
   }
 }
 

@@ -43,7 +43,9 @@ struct Fixture {
 TEST(StaticModelTest, HistogramEstimatesViaEq6) {
   std::vector<Box> buckets = {Box({0.0, 0.0}, {0.5, 1.0}),
                               Box({0.5, 0.0}, {1.0, 1.0})};
-  StaticHistogram m(buckets, {0.8, 0.2});
+  auto built = StaticHistogram::Create(buckets, {0.8, 0.2});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const StaticHistogram& m = *built.value();
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.5, 1.0})), 0.8, 1e-12);
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.25, 1.0})), 0.4, 1e-12);
   EXPECT_NEAR(m.Estimate(Box::Unit(2)), 1.0, 1e-12);
@@ -51,17 +53,22 @@ TEST(StaticModelTest, HistogramEstimatesViaEq6) {
 }
 
 TEST(StaticModelTest, PointModelEstimatesViaEq7) {
-  StaticPointModel m({{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7});
+  auto built = StaticPointModel::Create({{0.25, 0.25}, {0.75, 0.75}},
+                                       {0.3, 0.7});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const StaticPointModel& m = *built.value();
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.0, 0.0}, {0.5, 0.5})), 0.3);
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.5, 0.5}, {1.0, 1.0})), 0.7);
   EXPECT_DOUBLE_EQ(m.Estimate(Box::Unit(2)), 1.0);
 }
 
 TEST(StaticModelTest, TrainIsRejected) {
-  StaticHistogram h({Box::Unit(2)}, {1.0});
-  EXPECT_EQ(h.Train({}).code(), StatusCode::kFailedPrecondition);
-  StaticPointModel p({{0.5, 0.5}}, {1.0});
-  EXPECT_EQ(p.Train({}).code(), StatusCode::kFailedPrecondition);
+  auto h = StaticHistogram::Create({Box::Unit(2)}, {1.0});
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h.value()->Train({}).code(), StatusCode::kFailedPrecondition);
+  auto p = StaticPointModel::Create({{0.5, 0.5}}, {1.0});
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.value()->Train({}).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ModelIoTest, QuadHistRoundTripIdenticalEstimates) {
@@ -224,6 +231,27 @@ TEST(ModelIoTest, RejectsCorruptFiles) {
   EXPECT_FALSE(LoadModel(path).ok());
   std::filesystem::remove(path);
   EXPECT_FALSE(LoadModel("/nonexistent/dir/m.model").ok());
+}
+
+TEST(ModelIoTest, RejectsModelsThatCannotServe) {
+  // Well-formed records whose weights are all zero carry no mass: no
+  // plan can serve them, so loading fails with a Status, not an abort.
+  const std::string path = TempPath("sel_zero_mass.model");
+  auto write_and_code = [&path](const std::string& body) {
+    std::ofstream out(path);
+    out << body;
+    out.close();
+    return LoadModel(path).status().code();
+  };
+  EXPECT_EQ(write_and_code("selmodel 1 histogram 2 2\n"
+                           "box 0 0 0.5 1 0\n"
+                           "box 0.5 0 1 1 0\n"),
+            StatusCode::kIOError);
+  EXPECT_EQ(write_and_code("selmodel 1 points 2 2\n"
+                           "point 0.25 0.25 0\n"
+                           "point 0.75 0.75 0\n"),
+            StatusCode::kIOError);
+  std::filesystem::remove(path);
 }
 
 TEST(ModelIoTest, RejectsNonFiniteValuesAsIOError) {

@@ -91,6 +91,17 @@ rc=$?
 [ "${rc}" -eq 10 ] \
   || fail "truncated model should exit 10 (IOError), got ${rc}"
 
+# A workload whose dimension differs from the model's is InvalidArgument
+# (exit 3), caught before any estimate runs.
+printf 'type,dim,geometry...,selectivity\nbox,2,0.1,0.1,0.6,0.6,0.2\n' \
+  > w2.csv
+"${SELCLI}" evaluate ptshist.model w2.csv > out.txt 2> err.txt
+rc=$?
+[ "${rc}" -eq 3 ] \
+  || fail "dimension-mismatched workload should exit 3, got ${rc}"
+grep -q "dimensions but the model was trained on 7" err.txt \
+  || fail "dimension-mismatch error missing: $(cat err.txt)"
+
 # --- Serving plans: selcli compile lowers a trained model file. ---
 
 # Lower the trained quadhist model to its flat serving form; the plan

@@ -1,9 +1,12 @@
-// Plan-equivalence suite for the serving layer (DESIGN.md §11): every
-// lowerable estimator's CompiledPlan must reproduce the virtual
-// Estimate path within 1e-12 across query shapes, seeds, and thread
-// counts; plans must survive the model_io round-trip bit-identically;
-// and OnlineEstimator's plan hand-off must keep serving during a
-// retrain (the TSAN lane checks the hand-off is race-free).
+// Plan-correctness suite for the serving layer (DESIGN.md §11): every
+// lowerable estimator's CompiledPlan — the one path its Estimate serves
+// from — must reproduce the brute-force Eq. (6)/(7) reference
+// (reference_eval.h) within 1e-12, or, for learners that keep their
+// buckets private, reproduce their own Eq. (8) training residual; across
+// query shapes, seeds, and thread counts. Plans must survive the
+// model_io round-trip bit-identically, and OnlineEstimator's model
+// hand-off must keep serving during a retrain (the TSAN lane checks the
+// hand-off is race-free).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <sstream>
 #include <thread>
 
+#include "reference_eval.h"
 #include "sel/sel.h"
 
 namespace sel {
@@ -75,104 +79,167 @@ struct Fixture {
   CountingKdTree index;
 };
 
-// Every lowerable estimator, every query shape its virtual path serves,
-// two training seeds: |plan - virtual| <= 1e-12 per query, and the
-// batch kernel agrees with EstimateOne bit for bit at 1 and 8 threads.
-TEST(ServePlanTest, PlanMatchesVirtualPathEverywhere) {
-  Fixture f;
-  struct Case {
-    const char* name;
-    std::vector<QueryType> shapes;
-  };
-  // ISOMER's and QuickSel's paper scope is orthogonal ranges; the
-  // learners serve every shape in the library.
-  const std::vector<Case> cases = {
-      {"quadhist",
-       {QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
-        QueryType::kSemiAlgebraic}},
-      {"ptshist",
-       {QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
-        QueryType::kSemiAlgebraic}},
-      {"quicksel", {QueryType::kBox}},
-      {"isomer", {QueryType::kBox}},
-  };
-  for (const Case& c : cases) {
-    for (uint64_t seed : {901u, 902u}) {
-      const Workload train = f.MakeTrain(80, seed);
-      auto built = EstimatorRegistry::Build(c.name, 2, train.size());
-      ASSERT_TRUE(built.ok()) << c.name << ": "
-                              << built.status().ToString();
-      SelectivityModel& model = *built.value();
-      ASSERT_TRUE(model.Train(train).ok()) << c.name;
-      auto plan = model.Compile();
-      ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status().ToString();
-      EXPECT_EQ(plan.value().dim(), 2) << c.name;
-      EXPECT_EQ(plan.value().source(), c.name);
-      EXPECT_GT(plan.value().size(), 0u) << c.name;
-
-      for (QueryType shape : c.shapes) {
-        const std::vector<Query> probes =
-            f.MakeProbes(shape, 25, seed + 17);
-        std::vector<double> one(probes.size());
-        for (size_t i = 0; i < probes.size(); ++i) {
-          one[i] = plan.value().EstimateOne(probes[i]);
-          const double virt = model.Estimate(probes[i]);
-          EXPECT_NEAR(one[i], virt, 1e-12)
-              << c.name << " seed=" << seed << " shape "
-              << QueryTypeName(shape) << " query " << i;
-          EXPECT_GE(one[i], 0.0);
-          EXPECT_LE(one[i], 1.0);
-        }
-        // The batch kernel is the same arithmetic, any thread count.
-        for (int threads : {1, 8}) {
-          ThreadPool pool(threads);
-          ScopedPoolOverride scope(&pool);
-          const std::vector<double> many =
-              plan.value().EstimateMany(probes);
-          ASSERT_EQ(many.size(), one.size());
-          for (size_t i = 0; i < many.size(); ++i) {
-            EXPECT_EQ(many[i], one[i])
-                << c.name << " shape " << QueryTypeName(shape)
-                << " threads=" << threads << " query " << i;
-          }
-        }
-      }
+// Batch kernel and Estimate agree with EstimateOne bit for bit, at 1 and
+// 8 threads: the same arithmetic for any thread count.
+void ExpectOnePathEverywhere(const SelectivityModel& model,
+                             const std::vector<Query>& probes,
+                             const std::string& what) {
+  const std::shared_ptr<const CompiledPlan> plan = model.shared_plan();
+  ASSERT_NE(plan, nullptr) << what;
+  std::vector<double> one(probes.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    one[i] = plan->EstimateOne(probes[i]);
+    EXPECT_EQ(model.Estimate(probes[i]), one[i]) << what << " query " << i;
+    EXPECT_GE(one[i], 0.0);
+    EXPECT_LE(one[i], 1.0);
+  }
+  for (int threads : {1, 8}) {
+    ThreadPool pool(threads);
+    ScopedPoolOverride scope(&pool);
+    const std::vector<double> many = plan->EstimateMany(probes);
+    ASSERT_EQ(many.size(), one.size());
+    for (size_t i = 0; i < many.size(); ++i) {
+      EXPECT_EQ(many[i], one[i])
+          << what << " threads=" << threads << " query " << i;
     }
   }
 }
 
-// The always-fitted static forms lower directly.
-TEST(ServePlanTest, StaticFormsLower) {
-  StaticHistogram h({Box({0.0, 0.0}, {0.5, 1.0}), Box({0.5, 0.0}, {1.0, 1.0})},
-                    {0.8, 0.2});
-  auto hp = h.Compile();
-  ASSERT_TRUE(hp.ok()) << hp.status().ToString();
-  StaticPointModel p({{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7});
-  auto pp = p.Compile();
-  ASSERT_TRUE(pp.ok()) << pp.status().ToString();
-  for (const Query& q :
-       {Query(Box({0.0, 0.0}, {0.5, 1.0})), Query(Box({0.1, 0.2}, {0.9, 0.7})),
-        Query(Box::Unit(2))}) {
-    EXPECT_NEAR(hp.value().EstimateOne(q), h.Estimate(q), 1e-12);
-    EXPECT_NEAR(pp.value().EstimateOne(q), p.Estimate(q), 1e-12);
+// Every lowerable estimator, every query shape it serves, two training
+// seeds. QuadHist and PtsHist export their buckets, so their plans are
+// checked per query against the brute-force Eq. (6)/(7) sums within
+// 1e-12. QuickSel, Isomer and the arrangement learner keep theirs
+// private; their estimates over the training workload must reproduce
+// the Eq. (8) residual the trainer reported (train_stats().train_loss)
+// within 1e-12 — for Isomer this is the independent check of its
+// slab-cut lowering, since its training rows come from
+// EffectiveFraction, not from the plan.
+TEST(ServePlanTest, PlanMatchesVirtualPathEverywhere) {
+  Fixture f;
+  const std::vector<QueryType> all_shapes = {
+      QueryType::kBox, QueryType::kHalfspace, QueryType::kBall,
+      QueryType::kSemiAlgebraic};
+  for (uint64_t seed : {901u, 902u}) {
+    const Workload train = f.MakeTrain(80, seed);
+    for (const char* name : {"quadhist", "ptshist"}) {
+      auto built = EstimatorRegistry::Build(name, 2, train.size());
+      ASSERT_TRUE(built.ok()) << name << ": " << built.status().ToString();
+      SelectivityModel& model = *built.value();
+      ASSERT_TRUE(model.Train(train).ok()) << name;
+      auto plan = model.Compile();
+      ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+      EXPECT_EQ(plan.value().dim(), 2) << name;
+      EXPECT_EQ(plan.value().source(), name);
+      EXPECT_EQ(plan.value().size(), model.shared_plan()->size()) << name;
+      const auto* qh = dynamic_cast<const QuadHist*>(&model);
+      const auto* ph = dynamic_cast<const PtsHist*>(&model);
+      for (QueryType shape : all_shapes) {
+        const std::vector<Query> probes = f.MakeProbes(shape, 25, seed + 17);
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const double ref =
+              qh != nullptr
+                  ? ReferenceBoxEstimate(probes[i], qh->LeafBoxes(),
+                                         qh->LeafWeights(),
+                                         qh->options().volume)
+                  : ReferencePointEstimate(probes[i], ph->BucketPoints(),
+                                           ph->BucketWeights());
+          EXPECT_NEAR(plan.value().EstimateOne(probes[i]), ref, 1e-12)
+              << name << " seed=" << seed << " shape "
+              << QueryTypeName(shape) << " query " << i;
+        }
+        ExpectOnePathEverywhere(model, probes,
+                                std::string(name) + " " +
+                                    QueryTypeName(shape));
+      }
+    }
+
+    // QuickSel's and ISOMER's paper scope is orthogonal ranges. The
+    // arrangement grid grows as (2n)^2 cells, so it trains on a prefix.
+    const Workload small(train.begin(), train.begin() + 20);
+    std::vector<std::pair<std::string, std::unique_ptr<SelectivityModel>>>
+        private_bucket_models;
+    for (const char* name : {"quicksel", "isomer"}) {
+      auto built = EstimatorRegistry::Build(name, 2, train.size());
+      ASSERT_TRUE(built.ok()) << name << ": " << built.status().ToString();
+      private_bucket_models.emplace_back(name, std::move(built).value());
+    }
+    ArrangementOptions discrete;
+    discrete.mode = ArrangementOptions::Mode::kDiscrete;
+    private_bucket_models.emplace_back(
+        "arrangement", std::make_unique<ArrangementLearner>(
+                           2, ArrangementOptions{}));
+    private_bucket_models.emplace_back(
+        "arrangement:discrete",
+        std::make_unique<ArrangementLearner>(2, discrete));
+    for (auto& [name, model] : private_bucket_models) {
+      const Workload& w =
+          name.rfind("arrangement", 0) == 0 ? small : train;
+      ASSERT_TRUE(model->Train(w).ok()) << name;
+      double loss = 0.0;
+      for (const auto& z : w) {
+        const double d = model->Estimate(z.query) - z.selectivity;
+        loss += d * d;
+      }
+      loss /= static_cast<double>(w.size());
+      EXPECT_NEAR(loss, model->train_stats().train_loss, 1e-12)
+          << name << " seed=" << seed;
+      ExpectOnePathEverywhere(*model, f.MakeProbes(QueryType::kBox, 25,
+                                                   seed + 17),
+                              name);
+    }
   }
 }
 
+// The always-fitted static forms lower at construction; forms that
+// cannot lower (every weight zero) are refused by the factory.
+TEST(ServePlanTest, StaticFormsLower) {
+  const std::vector<Box> boxes = {Box({0.0, 0.0}, {0.5, 1.0}),
+                                  Box({0.5, 0.0}, {1.0, 1.0})};
+  const std::vector<Point> points = {{0.25, 0.25}, {0.75, 0.75}};
+  auto h = StaticHistogram::Create(boxes, {0.8, 0.2});
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  auto p = StaticPointModel::Create(points, {0.3, 0.7});
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_NE(h.value()->shared_plan(), nullptr);
+  ASSERT_NE(p.value()->shared_plan(), nullptr);
+  for (const Query& q :
+       {Query(Box({0.0, 0.0}, {0.5, 1.0})), Query(Box({0.1, 0.2}, {0.9, 0.7})),
+        Query(Box::Unit(2))}) {
+    EXPECT_NEAR(h.value()->Estimate(q),
+                ReferenceBoxEstimate(q, boxes, {0.8, 0.2}, VolumeOptions{}),
+                1e-12);
+    EXPECT_NEAR(p.value()->Estimate(q),
+                ReferencePointEstimate(q, points, {0.3, 0.7}), 1e-12);
+  }
+  EXPECT_FALSE(StaticHistogram::Create(boxes, {0.0, 0.0}).ok());
+  EXPECT_FALSE(StaticPointModel::Create(points, {0.0, 0.0}).ok());
+  EXPECT_FALSE(StaticHistogram::Create({}, {}).ok());
+}
+
 // GMM and AVI have no flat bucket form; Compile says so instead of
-// silently mis-lowering.
+// silently mis-lowering, and they keep estimating on their own.
 TEST(ServePlanTest, NonLowerableEstimatorsReportUnimplemented) {
+  Fixture f;
+  const Workload train = f.MakeTrain(40, 1401);
   GmmModel gmm(2, GmmOptions{});
   EXPECT_EQ(gmm.Compile().status().code(), StatusCode::kUnimplemented);
   AviHistogram avi(2, AviOptions{});
   EXPECT_EQ(avi.Compile().status().code(), StatusCode::kUnimplemented);
-  // Untrained lowerable models fail with FailedPrecondition, and the
-  // failure is NOT cached: training afterwards makes Compile succeed.
+  EXPECT_EQ(avi.shared_plan(), nullptr);
+  const double est = avi.Estimate(Box::Unit(2));
+  EXPECT_GE(est, 0.0);
+  EXPECT_LE(est, 1.0);
+  // Untrained lowerable models have no plan and fail Compile with
+  // FailedPrecondition; Train builds the plan once, and shared_plan()
+  // hands out that same plan every time.
   QuadHist qh(2, QuadHistOptions{});
   EXPECT_EQ(qh.Compile().status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(qh.shared_plan(), nullptr);
-  Fixture f;
-  ASSERT_TRUE(qh.Train(f.MakeTrain(40, 1401)).ok());
-  EXPECT_NE(qh.shared_plan(), nullptr);
+  ASSERT_TRUE(qh.Train(train).ok());
+  const auto plan = qh.shared_plan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(qh.shared_plan().get(), plan.get());
+  EXPECT_TRUE(qh.Compile().ok());
 }
 
 // Zero-volume buckets lower to point entries at their centers and
@@ -206,9 +273,9 @@ TEST(ServePlanTest, ModelIoRoundTripIsExact) {
     auto built = EstimatorRegistry::Build(name, 2, train.size());
     ASSERT_TRUE(built.ok());
     ASSERT_TRUE(built.value()->Train(train).ok()) << name;
-    auto plan = built.value()->Compile();
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    PlanModel original(std::move(plan).value());
+    auto compiled = PlanModel::Create(built.value()->Compile());
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const PlanModel& original = *compiled.value();
 
     const std::string path = TempPath(std::string("sel_plan_") + name +
                                       ".model");
@@ -264,31 +331,14 @@ TEST(ServePlanTest, PruningStatsShowSkippedEntries) {
   EXPECT_LE(batch.entries_visited, batch.entries_total);
 }
 
-// SEL_SERVE_PLAN / SetServePlanEnabled gates the automatic serving path
-// (shared_plan), never the explicit Compile.
-TEST(ServePlanTest, ServePlanKnobGatesSharedPlanOnly) {
-  Fixture f;
-  QuadHist model(2, QuadHistOptions{});
-  ASSERT_TRUE(model.Train(f.MakeTrain(40, 909)).ok());
-  SetServePlanEnabled(false);
-  EXPECT_EQ(model.shared_plan(), nullptr);
-  EXPECT_TRUE(model.Compile().ok()) << "knob must not gate Compile()";
-  SetServePlanEnabled(true);
-  const auto plan = model.shared_plan();
-  ASSERT_NE(plan, nullptr);
-  // The cache hands out the same plan every time.
-  EXPECT_EQ(model.shared_plan().get(), plan.get());
-}
-
 // Malformed queries (non-finite parameters; every ctor-constructible
 // degenerate form) must not poison the serving arithmetic: the plan
-// path answers the empty-range 0 and the checked virtual path rejects
-// with InvalidArgument, both counted under serve.invalid_query_total.
+// answers the empty-range 0 and the checked TryEstimate rejects with
+// InvalidArgument, both counted under serve.invalid_query_total.
 TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
   Fixture f;
   QuadHist model(2, QuadHistOptions{});
   ASSERT_TRUE(model.Train(f.MakeTrain(40, 911)).ok());
-  SetServePlanEnabled(true);
   const auto plan = model.shared_plan();
   ASSERT_NE(plan, nullptr);
 
@@ -306,7 +356,7 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
     EXPECT_FALSE(QueryIsValid(bad[i])) << "query " << i;
     // Plan path: sanitized to the empty-range answer, never NaN.
     EXPECT_EQ(plan->EstimateOne(bad[i]), 0.0) << "query " << i;
-    // Checked virtual path: an explicit rejection the caller can see.
+    // Checked front door: an explicit rejection the caller can see.
     auto checked = model.TryEstimate(bad[i]);
     ASSERT_FALSE(checked.ok()) << "query " << i;
     EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument)
@@ -318,7 +368,7 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
     EXPECT_EQ(many[i], 0.0) << "query " << i;
   }
 
-  // Well-formed queries flow through both paths unchanged.
+  // Well-formed queries flow through the front door unchanged.
   const Query good = Box({0.2, 0.2}, {0.7, 0.7});
   ASSERT_TRUE(QueryIsValid(good));
   auto checked = model.TryEstimate(good);
@@ -331,7 +381,6 @@ TEST(ServePlanTest, MalformedQueriesAreRejectedNotPoisonous) {
 // valid and the hand-off lands a fresh plan. The TSAN lane turns any
 // torn or unsynchronized hand-off into a hard failure.
 TEST(ServePlanTest, OnlineServingUninterruptedAcrossRetrain) {
-  SetServePlanEnabled(true);
   Fixture f;
   OnlineOptions opts;
   opts.retrain_interval = 25;
@@ -377,8 +426,7 @@ TEST(ServePlanTest, OnlineServingUninterruptedAcrossRetrain) {
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GE(est.retrain_count(), 5u);
   EXPECT_TRUE(est.trained());
-  // quadhist lowers, so the swapped-in state carries a plan (the knob
-  // defaults to on; earlier tests restore it).
+  // quadhist lowers, so the swapped-in model carries a plan.
   EXPECT_NE(est.serving_plan(), nullptr);
 }
 

@@ -246,12 +246,11 @@ int Compile(int argc, char** argv) {
   if (argc < 2) return Usage();
   auto model = LoadModel(argv[0]);
   if (!model.ok()) return Fail(model.status());
-  auto plan = model.value()->Compile();
-  if (!plan.ok()) return Fail(plan.status());
-  PlanModel compiled(std::move(plan).value());
-  const Status save = SaveModel(compiled, argv[1]);
+  auto compiled = PlanModel::Create(model.value()->Compile());
+  if (!compiled.ok()) return Fail(compiled.status());
+  const Status save = SaveModel(*compiled.value(), argv[1]);
   if (!save.ok()) return Fail(save);
-  const CompiledPlan& p = *compiled.plan();
+  const CompiledPlan& p = *compiled.value()->shared_plan();
   std::printf("compiled %s -> plan: %zu entries (%zu box, %zu point), "
               "dim %d\nplan written to %s\n",
               model.value()->Name().c_str(), p.size(), p.num_box_entries(),
@@ -265,6 +264,17 @@ int Evaluate(int argc, char** argv) {
   if (!model.ok()) return Fail(model.status());
   auto workload = LoadWorkloadCsv(argv[1]);
   if (!workload.ok()) return Fail(workload.status());
+  auto model_dim = PeekModelDim(argv[0]);
+  if (!model_dim.ok()) return Fail(model_dim.status());
+  for (size_t i = 0; i < workload.value().size(); ++i) {
+    const int dim = workload.value()[i].query.dim();
+    if (dim != model_dim.value()) {
+      return Fail(Status::InvalidArgument(
+          "workload record " + std::to_string(i + 1) + " has " +
+          std::to_string(dim) + " dimensions but the model was trained on " +
+          std::to_string(model_dim.value())));
+    }
+  }
   // Q-error floor of 1e-6: the workload CSV does not carry the dataset
   // size, so "one in a million tuples" stands in for one-tuple resolution.
   WallTimer timer;
