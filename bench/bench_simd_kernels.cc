@@ -1,7 +1,8 @@
 // Microbenchmark of the raw SIMD kernels (DESIGN.md §12), one row per
 // (kernel, dispatch level). The serving-shaped kernels run over a
 // padded coordinate-major SoA exactly like a CompiledPlan leaf; the
-// solver-shaped kernels run over plain unpadded vectors like FISTA.
+// solver-shaped kernels run over plain unpadded vectors like FISTA and
+// over CSR-like rows like SparseMatrix::Apply.
 //
 // Methodology follows check_metrics_overhead.sh: every round measures
 // EVERY level back to back (alternating), and each (kernel, level)
@@ -9,6 +10,10 @@
 // cannot fake (or hide) a speedup. tools/check_simd_speedup.sh parses
 // the CSV and enforces the widest level's box-kernel speedup floor
 // over forced-scalar in the release CI lane.
+#include <algorithm>
+#include <functional>
+#include <iterator>
+
 #include "bench_common.h"
 
 using namespace sel;
@@ -79,54 +84,90 @@ int main() {
     }
   }
 
-  // Solver-shaped inputs.
-  std::vector<double> va(n), vb(n);
+  // Solver-shaped inputs: dense vectors, and CSR-like column runs that
+  // gather from x — rows shaped like the query-by-bucket rows of Eq. (8),
+  // and the same n columns as one long run. Row lengths are drawn from
+  // the 20-quantile midpoints of the nonzeros per row that
+  // SparseMatrix::Apply visited while retraining QuadHist (window 64,
+  // d = 2) in perfbench's online_feedback workload: mean 99, median 99.
+  const size_t kRowLengths[] = {2,   2,   4,   5,   14,  23,  35,
+                                51,  70,  89,  110, 132, 151, 173,
+                                185, 187, 187, 188, 188, 190};
+  std::vector<double> va(n), vb(n), vy(n);
+  std::vector<int32_t> cols(n);
   for (size_t j = 0; j < n; ++j) {
     va[j] = rng.Uniform(-1.0, 1.0);
     vb[j] = rng.Uniform(-1.0, 1.0);
+    cols[j] = static_cast<int32_t>(rng.UniformInt(n));
+  }
+  std::vector<size_t> row_start = {0};
+  while (row_start.back() < n) {
+    const size_t len = kRowLengths[rng.UniformInt(std::size(kRowLengths))];
+    row_start.push_back(std::min(n, row_start.back() + len));
   }
 
-  double sink = 0.0;
-  std::vector<KernelTimes> results = {
-      {"box_leaf_sum", std::vector<double>(levels.size(), 0.0)},
-      {"point_leaf_sum", std::vector<double>(levels.size(), 0.0)},
-      {"dot", std::vector<double>(levels.size(), 0.0)},
+  // One timed pass = `queries` invocations over n entries in total.
+  struct Kernel {
+    std::string name;
+    std::function<double(const SimdOps&, size_t q)> call;
   };
+  const std::vector<Kernel> kernels = {
+      {"box_leaf_sum",
+       [&](const SimdOps& ops, size_t q) {
+         return ops.box_leaf_sum(qlo[q].data(), qhi[q].data(), dim,
+                                 lo.data(), hi.data(), weight.data(),
+                                 inv_vol.data(), stride, 0, n);
+       }},
+      {"point_leaf_sum",
+       [&](const SimdOps& ops, size_t q) {
+         return ops.point_leaf_sum(qlo[q].data(), qhi[q].data(), dim,
+                                   coords.data(), weight.data(), stride, 0,
+                                   n);
+       }},
+      {"dot",
+       [&](const SimdOps& ops, size_t) {
+         return ops.dot(va.data(), vb.data(), n);
+       }},
+      {"sparse_dot_rows",
+       [&](const SimdOps& ops, size_t) {
+         double s = 0.0;
+         for (size_t r = 0; r + 1 < row_start.size(); ++r) {
+           s += ops.sparse_dot(cols.data() + row_start[r],
+                               va.data() + row_start[r],
+                               row_start[r + 1] - row_start[r], vb.data());
+         }
+         return s;
+       }},
+      {"sparse_dot",
+       [&](const SimdOps& ops, size_t) {
+         return ops.sparse_dot(cols.data(), va.data(), n, vb.data());
+       }},
+      {"axpy",
+       [&](const SimdOps& ops, size_t q) {
+         // Alternate the sign so y stays bounded across passes.
+         ops.axpy(q % 2 == 0 ? 0.5 : -0.5, va.data(), vy.data(), n);
+         return vy[q];
+       }},
+  };
+
+  double sink = 0.0;
+  std::vector<KernelTimes> results;
+  for (const Kernel& k : kernels) {
+    results.push_back({k.name, std::vector<double>(levels.size(), 0.0)});
+  }
   const double per_pass_entries =
       static_cast<double>(n) * static_cast<double>(queries);
   for (int r = 0; r < rounds; ++r) {
     for (size_t li = 0; li < levels.size(); ++li) {
       SetSimdLevel(levels[li]);
       const SimdOps& ops = Simd();
-
-      WallTimer bt;
-      for (size_t q = 0; q < queries; ++q) {
-        sink += ops.box_leaf_sum(qlo[q].data(), qhi[q].data(), dim,
-                                 lo.data(), hi.data(), weight.data(),
-                                 inv_vol.data(), stride, 0, n);
+      for (size_t ki = 0; ki < kernels.size(); ++ki) {
+        WallTimer timer;
+        for (size_t q = 0; q < queries; ++q) sink += kernels[ki].call(ops, q);
+        const double ns = timer.Seconds() * 1e9 / per_pass_entries;
+        double& best = results[ki].best_ns[li];
+        if (r == 0 || ns < best) best = ns;
       }
-      const double box_ns = bt.Seconds() * 1e9 / per_pass_entries;
-
-      WallTimer pt;
-      for (size_t q = 0; q < queries; ++q) {
-        sink += ops.point_leaf_sum(qlo[q].data(), qhi[q].data(), dim,
-                                   coords.data(), weight.data(), stride, 0,
-                                   n);
-      }
-      const double point_ns = pt.Seconds() * 1e9 / per_pass_entries;
-
-      WallTimer dt;
-      for (size_t q = 0; q < queries; ++q) {
-        sink += ops.dot(va.data(), vb.data(), n);
-      }
-      const double dot_ns = dt.Seconds() * 1e9 / per_pass_entries;
-
-      auto keep_min = [&](KernelTimes& k, double ns) {
-        if (r == 0 || ns < k.best_ns[li]) k.best_ns[li] = ns;
-      };
-      keep_min(results[0], box_ns);
-      keep_min(results[1], point_ns);
-      keep_min(results[2], dot_ns);
     }
   }
   SetSimdLevel(MaxSupportedSimdLevel());

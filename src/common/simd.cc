@@ -81,9 +81,7 @@ double DotScalar(const double* a, const double* b, size_t n) {
 }
 
 double SquaredNormScalar(const double* a, size_t n) {
-  double lanes[kSimdBlock] = {0.0};
-  for (size_t j = 0; j < n; ++j) lanes[j % kSimdBlock] += a[j] * a[j];
-  return CombineLanes(lanes);
+  return DotScalar(a, a, n);
 }
 
 double SparseDotScalar(const int32_t* cols, const double* vals, size_t n,

@@ -3,15 +3,16 @@
 // The serving and solver hot loops — the CompiledPlan box/point leaf
 // scans (Eq. 6/7) and the FISTA/PGD matvec-and-update loops of Eq. (8)
 // — all reduce to a handful of flat-array kernels. This header names
-// those kernels once (`SimdOps`); three translation units implement
-// them per ISA:
+// those kernels once (`SimdOps`). They are written twice: a scalar
+// reference and one vector body over GCC vector types, which two
+// translation units compile per ISA:
 //
-//   common/simd.cc       scalar reference (always present, any arch)
-//   common/simd_sse2.cc  SSE2 (x86-64 baseline; 2-wide doubles)
-//   common/simd_avx2.cc  AVX2+FMA (4-wide doubles; the TU is compiled
-//                        with per-file -mavx2 -mfma, never a global
-//                        -march, so the binary stays runnable on
-//                        SSE2-only hosts)
+//   common/simd.cc          scalar reference (always present, any arch)
+//   common/simd_vector.inc  the vector body, generic in the width W
+//   common/simd_sse2.cc     W = 2 (SSE2, the x86-64 baseline)
+//   common/simd_avx2.cc     W = 4 (AVX2+FMA; compiled with per-file
+//                           -mavx2 -mfma, never a global -march, so the
+//                           binary stays runnable on SSE2-only hosts)
 //
 // One variant is selected at startup: CPUID (via
 // __builtin_cpu_supports) picks the widest supported table, and the
@@ -29,7 +30,8 @@
 // no variant uses FMA contraction in value-bearing arithmetic. A given
 // input therefore produces BIT-IDENTICAL results under every SEL_SIMD
 // value; only the old purely-sequential summation order changed, which
-// is covered by the plan-vs-virtual <= 1e-12 tolerance.
+// is covered by the <= 1e-12 tolerance of the plan against the
+// brute-force evaluator in tests/reference_eval.h.
 #ifndef SEL_COMMON_SIMD_H_
 #define SEL_COMMON_SIMD_H_
 
@@ -130,16 +132,15 @@ struct SimdOps {
                            const double* coords, const double* weight,
                            size_t run_stride, size_t begin, size_t end);
 
-  /// Blocked dot product over unpadded arrays (tail block is lane-
-  /// filled, never reordered).
+  /// Blocked dot product over unpadded arrays (the partial last block
+  /// feeds lanes 0..(n mod 8)-1 in the same order as a full block).
   double (*dot)(const double* a, const double* b, size_t n);
 
   /// Blocked sum of squares (dot(a, a) in one pass).
   double (*squared_norm)(const double* a, size_t n);
 
   /// Blocked sparse row dot: sum_k vals[k] * x[cols[k]] over one CSR
-  /// row's (col, value) run. Tail blocks are lane-filled from temps, so
-  /// the run needs no padding.
+  /// row's (col, value) run; unpadded, with the tail handled as in dot.
   double (*sparse_dot)(const int32_t* cols, const double* vals, size_t n,
                        const double* x);
 

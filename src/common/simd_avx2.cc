@@ -1,19 +1,10 @@
-// AVX2 variant (4-wide doubles, 32-byte vectors). Compiled with
-// per-file -mavx2 -mfma -ffp-contract=off (see src/CMakeLists.txt); on
-// targets where the flags are unavailable the guarded body vanishes and
-// GetAvx2Ops() returns nullptr, so the binary keeps running on
-// SSE2-only hosts.
-//
-// FMA is required by the dispatch gate (it rides along with AVX2 on
-// every real core) but is deliberately NOT used in value-bearing
-// arithmetic: fusing mul+add skips an intermediate rounding and would
-// break the bit-identical-across-variants contract. -ffp-contract=off
-// keeps the compiler from re-fusing what we spelled out.
-//
-// Lane discipline: a block of kSimdBlock (8) elements is two __m256d
-// with lanes {0..3} and {4..7}. Reductions keep two striped
-// accumulators; acc0+acc1 yields {m0,m1,m2,m3}, whose 128-bit halves
-// add to {m0+m2, m1+m3} — the scalar variant's CombineLanes shape.
+// AVX2 variant: the kernel body of simd_vector.inc at 4 doubles per
+// vector, two vectors per block. Compiled with per-file -mavx2 -mfma
+// -ffp-contract=off (src/CMakeLists.txt); where the flags are
+// unavailable the guarded body vanishes and GetAvx2Ops() returns
+// nullptr, so the binary keeps running on SSE2-only hosts. FMA is
+// required by the dispatch gate but never fused into value-bearing
+// arithmetic, which would break bit-identity across levels (simd.h).
 #include "common/simd.h"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
@@ -26,235 +17,28 @@ namespace sel {
 namespace simd_detail {
 namespace {
 
-/// kTailMask4[r]: lane i active iff i < r (r in 0..4).
-alignas(32) const uint64_t kTailMask4[5][4] = {
-    {0, 0, 0, 0},
-    {~0ull, 0, 0, 0},
-    {~0ull, ~0ull, 0, 0},
-    {~0ull, ~0ull, ~0ull, 0},
-    {~0ull, ~0ull, ~0ull, ~0ull},
-};
+constexpr int kWidth = 4;
+typedef double V __attribute__((vector_size(kWidth * sizeof(double))));
 
-inline __m256d TailMask4(size_t active) {
-  return _mm256_load_pd(reinterpret_cast<const double*>(kTailMask4[active]));
+inline V Splat(double x) { return V{x, x, x, x}; }
+inline V Max(V a, V b) { return _mm256_max_pd(a, b); }
+inline V Min(V a, V b) { return _mm256_min_pd(a, b); }
+inline V And(V a, V b) { return _mm256_and_pd(a, b); }
+inline V Ge(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
+inline V Le(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+inline V Gather(const double* x, const int32_t* i) {
+  const V zero{};  // masked form: the unmasked one warns (undefined source)
+  return _mm256_mask_i32gather_pd(
+      zero, x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(i)),
+      (V)(zero == zero), 8);
 }
 
-/// (m0+m2) + (m1+m3) from the two striped accumulators.
-inline double Combine(__m256d acc0, __m256d acc1) {
-  const __m256d m = _mm256_add_pd(acc0, acc1);        // {m0, m1, m2, m3}
-  const __m128d lo = _mm256_castpd256_pd128(m);       // {m0, m1}
-  const __m128d hi = _mm256_extractf128_pd(m, 1);     // {m2, m3}
-  const __m128d s = _mm_add_pd(lo, hi);               // {m0+m2, m1+m3}
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-double BoxLeafSumAvx2(const double* qlo, const double* qhi, int dim,
-                      const double* lo, const double* hi,
-                      const double* weight, const double* inv_vol,
-                      size_t run_stride, size_t begin, size_t end) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d acc0 = zero, acc1 = zero;
-  for (size_t j = begin; j < end; j += kSimdBlock) {
-    const size_t rem = end - j < kSimdBlock ? end - j : kSimdBlock;
-    __m256d inter0 = one, inter1 = one;
-    __m256d dead0 = zero, dead1 = zero;
-    for (int c = 0; c < dim; ++c) {
-      const size_t at = static_cast<size_t>(c) * run_stride + j;
-      const __m256d ql = _mm256_set1_pd(qlo[c]);
-      const __m256d qh = _mm256_set1_pd(qhi[c]);
-      const __m256d l0 = _mm256_max_pd(ql, _mm256_loadu_pd(lo + at));
-      const __m256d l1 = _mm256_max_pd(ql, _mm256_loadu_pd(lo + at + 4));
-      const __m256d h0 = _mm256_min_pd(qh, _mm256_loadu_pd(hi + at));
-      const __m256d h1 = _mm256_min_pd(qh, _mm256_loadu_pd(hi + at + 4));
-      const __m256d w0 = _mm256_sub_pd(h0, l0);
-      const __m256d w1 = _mm256_sub_pd(h1, l1);
-      dead0 = _mm256_or_pd(dead0, _mm256_cmp_pd(w0, zero, _CMP_LE_OQ));
-      dead1 = _mm256_or_pd(dead1, _mm256_cmp_pd(w1, zero, _CMP_LE_OQ));
-      inter0 = _mm256_mul_pd(inter0, w0);
-      inter1 = _mm256_mul_pd(inter1, w1);
-    }
-    const __m256d frac0 = _mm256_min_pd(
-        one, _mm256_max_pd(
-                 zero, _mm256_mul_pd(inter0, _mm256_loadu_pd(inv_vol + j))));
-    const __m256d frac1 = _mm256_min_pd(
-        one,
-        _mm256_max_pd(zero,
-                      _mm256_mul_pd(inter1, _mm256_loadu_pd(inv_vol + j + 4))));
-    __m256d t0 =
-        _mm256_andnot_pd(dead0, _mm256_mul_pd(_mm256_loadu_pd(weight + j),
-                                              frac0));
-    __m256d t1 = _mm256_andnot_pd(
-        dead1, _mm256_mul_pd(_mm256_loadu_pd(weight + j + 4), frac1));
-    if (rem < kSimdBlock) {
-      t0 = _mm256_and_pd(t0, TailMask4(rem < 4 ? rem : 4));
-      t1 = _mm256_and_pd(t1, TailMask4(rem > 4 ? rem - 4 : 0));
-    }
-    acc0 = _mm256_add_pd(acc0, t0);
-    acc1 = _mm256_add_pd(acc1, t1);
-  }
-  return Combine(acc0, acc1);
-}
-
-double PointLeafSumAvx2(const double* qlo, const double* qhi, int dim,
-                        const double* coords, const double* weight,
-                        size_t run_stride, size_t begin, size_t end) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d acc0 = zero, acc1 = zero;
-  for (size_t j = begin; j < end; j += kSimdBlock) {
-    const size_t rem = end - j < kSimdBlock ? end - j : kSimdBlock;
-    __m256d alive0 = ones, alive1 = ones;
-    for (int c = 0; c < dim; ++c) {
-      const size_t at = static_cast<size_t>(c) * run_stride + j;
-      const __m256d ql = _mm256_set1_pd(qlo[c]);
-      const __m256d qh = _mm256_set1_pd(qhi[c]);
-      const __m256d x0 = _mm256_loadu_pd(coords + at);
-      const __m256d x1 = _mm256_loadu_pd(coords + at + 4);
-      alive0 = _mm256_and_pd(
-          alive0, _mm256_and_pd(_mm256_cmp_pd(x0, ql, _CMP_GE_OQ),
-                                _mm256_cmp_pd(x0, qh, _CMP_LE_OQ)));
-      alive1 = _mm256_and_pd(
-          alive1, _mm256_and_pd(_mm256_cmp_pd(x1, ql, _CMP_GE_OQ),
-                                _mm256_cmp_pd(x1, qh, _CMP_LE_OQ)));
-    }
-    __m256d t0 = _mm256_and_pd(alive0, _mm256_loadu_pd(weight + j));
-    __m256d t1 = _mm256_and_pd(alive1, _mm256_loadu_pd(weight + j + 4));
-    if (rem < kSimdBlock) {
-      t0 = _mm256_and_pd(t0, TailMask4(rem < 4 ? rem : 4));
-      t1 = _mm256_and_pd(t1, TailMask4(rem > 4 ? rem - 4 : 0));
-    }
-    acc0 = _mm256_add_pd(acc0, t0);
-    acc1 = _mm256_add_pd(acc1, t1);
-  }
-  return Combine(acc0, acc1);
-}
-
-double DotAvx2(const double* a, const double* b, size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc0 = zero, acc1 = zero;
-  size_t j = 0;
-  for (; j + kSimdBlock <= n; j += kSimdBlock) {
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_loadu_pd(a + j), _mm256_loadu_pd(b + j)));
-    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(a + j + 4),
-                                             _mm256_loadu_pd(b + j + 4)));
-  }
-  if (j < n) {
-    // Unpadded tail: lane-fill a zeroed block so the striping (and the
-    // combine below) stays identical to the full-block path.
-    alignas(32) double ta[kSimdBlock] = {0.0};
-    alignas(32) double tb[kSimdBlock] = {0.0};
-    std::memcpy(ta, a + j, (n - j) * sizeof(double));
-    std::memcpy(tb, b + j, (n - j) * sizeof(double));
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_load_pd(ta), _mm256_load_pd(tb)));
-    acc1 = _mm256_add_pd(
-        acc1, _mm256_mul_pd(_mm256_load_pd(ta + 4), _mm256_load_pd(tb + 4)));
-  }
-  return Combine(acc0, acc1);
-}
-
-double SquaredNormAvx2(const double* a, size_t n) { return DotAvx2(a, a, n); }
-
-double SparseDotAvx2(const int32_t* cols, const double* vals, size_t n,
-                     const double* x) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc0 = zero, acc1 = zero;
-  size_t j = 0;
-  for (; j + kSimdBlock <= n; j += kSimdBlock) {
-    const __m128i c0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + j));
-    const __m128i c1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + j + 4));
-    const __m256d x0 = _mm256_i32gather_pd(x, c0, 8);
-    const __m256d x1 = _mm256_i32gather_pd(x, c1, 8);
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_loadu_pd(vals + j), x0));
-    acc1 =
-        _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_loadu_pd(vals + j + 4), x1));
-  }
-  if (j < n) {
-    alignas(32) double tv[kSimdBlock] = {0.0};
-    alignas(32) double tx[kSimdBlock] = {0.0};
-    for (size_t i = 0; j + i < n; ++i) {
-      tv[i] = vals[j + i];
-      tx[i] = x[cols[j + i]];
-    }
-    acc0 = _mm256_add_pd(
-        acc0, _mm256_mul_pd(_mm256_load_pd(tv), _mm256_load_pd(tx)));
-    acc1 = _mm256_add_pd(
-        acc1, _mm256_mul_pd(_mm256_load_pd(tv + 4), _mm256_load_pd(tx + 4)));
-  }
-  return Combine(acc0, acc1);
-}
-
-void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        y + j, _mm256_add_pd(_mm256_loadu_pd(y + j),
-                             _mm256_mul_pd(va, _mm256_loadu_pd(x + j))));
-  }
-  for (; j < n; ++j) y[j] = y[j] + alpha * x[j];
-}
-
-void AxpbyOutAvx2(const double* x, double alpha, const double* y,
-                  double* out, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        out + j, _mm256_add_pd(_mm256_loadu_pd(x + j),
-                               _mm256_mul_pd(va, _mm256_loadu_pd(y + j))));
-  }
-  for (; j < n; ++j) out[j] = x[j] + alpha * y[j];
-}
-
-void ExtrapolateAvx2(const double* w, const double* w_prev, double beta,
-                     double* y, size_t n) {
-  const __m256d vb = _mm256_set1_pd(beta);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d vw = _mm256_loadu_pd(w + j);
-    const __m256d d = _mm256_sub_pd(vw, _mm256_loadu_pd(w_prev + j));
-    _mm256_storeu_pd(y + j, _mm256_add_pd(vw, _mm256_mul_pd(vb, d)));
-  }
-  for (; j < n; ++j) y[j] = w[j] + beta * (w[j] - w_prev[j]);
-}
-
-void SubInplaceAvx2(double* r, const double* s, size_t n) {
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        r + j, _mm256_sub_pd(_mm256_loadu_pd(r + j), _mm256_loadu_pd(s + j)));
-  }
-  for (; j < n; ++j) r[j] = r[j] - s[j];
-}
-
-void ShiftReluAvx2(double* v, double tau, size_t n) {
-  const __m256d vt = _mm256_set1_pd(tau);
-  const __m256d zero = _mm256_setzero_pd();
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        v + j, _mm256_max_pd(_mm256_sub_pd(_mm256_loadu_pd(v + j), vt), zero));
-  }
-  for (; j < n; ++j) {
-    const double d = v[j] - tau;
-    v[j] = d > 0.0 ? d : 0.0;
-  }
-}
+#include "common/simd_vector.inc"
 
 }  // namespace
 
 const SimdOps* GetAvx2Ops() {
-  static const SimdOps ops = {
-      SimdLevel::kAvx2, BoxLeafSumAvx2, PointLeafSumAvx2,
-      DotAvx2,          SquaredNormAvx2, SparseDotAvx2,
-      AxpyAvx2,         AxpbyOutAvx2,    ExtrapolateAvx2,
-      SubInplaceAvx2,   ShiftReluAvx2,
-  };
+  static constexpr SimdOps ops = VectorOps(SimdLevel::kAvx2);
   return &ops;
 }
 

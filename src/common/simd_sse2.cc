@@ -1,12 +1,7 @@
-// SSE2 variant (x86-64 baseline, 2-wide doubles). Compiled with
-// per-file -msse2 -ffp-contract=off; on non-x86 targets the guarded
-// body vanishes and GetSse2Ops() returns nullptr.
-//
-// Lane discipline: a block of kSimdBlock (8) elements is four __m128d
-// with lanes {0,1}, {2,3}, {4,5}, {6,7}. Reductions keep four striped
-// accumulators and combine them as {S0+S4, S1+S5} + {S2+S6, S3+S7} —
-// i.e. {m0+m2, m1+m3} — then sum the two lanes, which is exactly the
-// scalar variant's CombineLanes shape (see simd.cc).
+// SSE2 variant (x86-64 baseline): the kernel body of simd_vector.inc at
+// 2 doubles per vector, four vectors per block. Compiled with
+// -ffp-contract=off (src/CMakeLists.txt); on non-x86 targets the
+// guarded body vanishes and GetSse2Ops() returns nullptr.
 #include "common/simd.h"
 
 #if defined(__x86_64__) && defined(__SSE2__)
@@ -19,217 +14,25 @@ namespace sel {
 namespace simd_detail {
 namespace {
 
-/// kTailMask2[r]: lane i active iff i < r (r in 0..2).
-alignas(16) const uint64_t kTailMask2[3][2] = {
-    {0, 0},
-    {~0ull, 0},
-    {~0ull, ~0ull},
-};
+constexpr int kWidth = 2;
+typedef double V __attribute__((vector_size(kWidth * sizeof(double))));
 
-inline __m128d TailMask2(size_t active) {
-  return _mm_load_pd(reinterpret_cast<const double*>(kTailMask2[active]));
+inline V Splat(double x) { return V{x, x}; }
+inline V Max(V a, V b) { return _mm_max_pd(a, b); }
+inline V Min(V a, V b) { return _mm_min_pd(a, b); }
+inline V And(V a, V b) { return _mm_and_pd(a, b); }
+inline V Ge(V a, V b) { return _mm_cmpge_pd(a, b); }
+inline V Le(V a, V b) { return _mm_cmple_pd(a, b); }
+inline V Gather(const double* x, const int32_t* i) {
+  return V{x[i[0]], x[i[1]]};
 }
 
-inline size_t ClampLanes(size_t rem, size_t offset) {
-  return rem <= offset ? 0 : (rem - offset >= 2 ? 2 : rem - offset);
-}
-
-/// (m0+m2) + (m1+m3) from the four striped accumulators.
-inline double Combine(__m128d acc_a, __m128d acc_b, __m128d acc_c,
-                      __m128d acc_d) {
-  const __m128d m01 = _mm_add_pd(acc_a, acc_c);  // {m0, m1}
-  const __m128d m23 = _mm_add_pd(acc_b, acc_d);  // {m2, m3}
-  const __m128d s = _mm_add_pd(m01, m23);        // {m0+m2, m1+m3}
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-double BoxLeafSumSse2(const double* qlo, const double* qhi, int dim,
-                      const double* lo, const double* hi,
-                      const double* weight, const double* inv_vol,
-                      size_t run_stride, size_t begin, size_t end) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  __m128d acc[4] = {zero, zero, zero, zero};
-  for (size_t j = begin; j < end; j += kSimdBlock) {
-    const size_t rem = end - j < kSimdBlock ? end - j : kSimdBlock;
-    __m128d inter[4] = {one, one, one, one};
-    __m128d dead[4] = {zero, zero, zero, zero};
-    for (int c = 0; c < dim; ++c) {
-      const size_t at = static_cast<size_t>(c) * run_stride + j;
-      const __m128d ql = _mm_set1_pd(qlo[c]);
-      const __m128d qh = _mm_set1_pd(qhi[c]);
-      for (int h = 0; h < 4; ++h) {
-        const __m128d l = _mm_max_pd(ql, _mm_loadu_pd(lo + at + 2 * h));
-        const __m128d hh = _mm_min_pd(qh, _mm_loadu_pd(hi + at + 2 * h));
-        const __m128d width = _mm_sub_pd(hh, l);
-        dead[h] = _mm_or_pd(dead[h], _mm_cmple_pd(width, zero));
-        inter[h] = _mm_mul_pd(inter[h], width);
-      }
-    }
-    for (int h = 0; h < 4; ++h) {
-      const __m128d frac = _mm_min_pd(
-          one, _mm_max_pd(zero, _mm_mul_pd(inter[h],
-                                           _mm_loadu_pd(inv_vol + j + 2 * h))));
-      __m128d t = _mm_mul_pd(_mm_loadu_pd(weight + j + 2 * h), frac);
-      t = _mm_andnot_pd(dead[h], t);
-      if (rem < kSimdBlock) {
-        t = _mm_and_pd(t, TailMask2(ClampLanes(rem, 2 * h)));
-      }
-      acc[h] = _mm_add_pd(acc[h], t);
-    }
-  }
-  return Combine(acc[0], acc[1], acc[2], acc[3]);
-}
-
-double PointLeafSumSse2(const double* qlo, const double* qhi, int dim,
-                        const double* coords, const double* weight,
-                        size_t run_stride, size_t begin, size_t end) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d ones = _mm_castsi128_pd(_mm_set1_epi64x(-1));
-  __m128d acc[4] = {zero, zero, zero, zero};
-  for (size_t j = begin; j < end; j += kSimdBlock) {
-    const size_t rem = end - j < kSimdBlock ? end - j : kSimdBlock;
-    __m128d alive[4] = {ones, ones, ones, ones};
-    for (int c = 0; c < dim; ++c) {
-      const size_t at = static_cast<size_t>(c) * run_stride + j;
-      const __m128d ql = _mm_set1_pd(qlo[c]);
-      const __m128d qh = _mm_set1_pd(qhi[c]);
-      for (int h = 0; h < 4; ++h) {
-        const __m128d x = _mm_loadu_pd(coords + at + 2 * h);
-        alive[h] = _mm_and_pd(
-            alive[h], _mm_and_pd(_mm_cmpge_pd(x, ql), _mm_cmple_pd(x, qh)));
-      }
-    }
-    for (int h = 0; h < 4; ++h) {
-      __m128d t = _mm_and_pd(alive[h], _mm_loadu_pd(weight + j + 2 * h));
-      if (rem < kSimdBlock) {
-        t = _mm_and_pd(t, TailMask2(ClampLanes(rem, 2 * h)));
-      }
-      acc[h] = _mm_add_pd(acc[h], t);
-    }
-  }
-  return Combine(acc[0], acc[1], acc[2], acc[3]);
-}
-
-double DotSse2(const double* a, const double* b, size_t n) {
-  const __m128d zero = _mm_setzero_pd();
-  __m128d acc[4] = {zero, zero, zero, zero};
-  size_t j = 0;
-  for (; j + kSimdBlock <= n; j += kSimdBlock) {
-    for (int h = 0; h < 4; ++h) {
-      acc[h] = _mm_add_pd(acc[h], _mm_mul_pd(_mm_loadu_pd(a + j + 2 * h),
-                                             _mm_loadu_pd(b + j + 2 * h)));
-    }
-  }
-  if (j < n) {
-    // Unpadded tail: lane-fill a zeroed block so the striping (and the
-    // combine below) stays identical to the full-block path.
-    alignas(16) double ta[kSimdBlock] = {0.0};
-    alignas(16) double tb[kSimdBlock] = {0.0};
-    std::memcpy(ta, a + j, (n - j) * sizeof(double));
-    std::memcpy(tb, b + j, (n - j) * sizeof(double));
-    for (int h = 0; h < 4; ++h) {
-      acc[h] = _mm_add_pd(acc[h], _mm_mul_pd(_mm_load_pd(ta + 2 * h),
-                                             _mm_load_pd(tb + 2 * h)));
-    }
-  }
-  return Combine(acc[0], acc[1], acc[2], acc[3]);
-}
-
-double SquaredNormSse2(const double* a, size_t n) { return DotSse2(a, a, n); }
-
-double SparseDotSse2(const int32_t* cols, const double* vals, size_t n,
-                     const double* x) {
-  const __m128d zero = _mm_setzero_pd();
-  __m128d acc[4] = {zero, zero, zero, zero};
-  alignas(16) double tx[kSimdBlock];
-  size_t j = 0;
-  for (; j + kSimdBlock <= n; j += kSimdBlock) {
-    for (size_t i = 0; i < kSimdBlock; ++i) tx[i] = x[cols[j + i]];
-    for (int h = 0; h < 4; ++h) {
-      acc[h] = _mm_add_pd(acc[h], _mm_mul_pd(_mm_loadu_pd(vals + j + 2 * h),
-                                             _mm_load_pd(tx + 2 * h)));
-    }
-  }
-  if (j < n) {
-    alignas(16) double tv[kSimdBlock] = {0.0};
-    for (size_t i = 0; i < kSimdBlock; ++i) tx[i] = 0.0;
-    for (size_t i = 0; j + i < n; ++i) {
-      tv[i] = vals[j + i];
-      tx[i] = x[cols[j + i]];
-    }
-    for (int h = 0; h < 4; ++h) {
-      acc[h] = _mm_add_pd(acc[h], _mm_mul_pd(_mm_load_pd(tv + 2 * h),
-                                             _mm_load_pd(tx + 2 * h)));
-    }
-  }
-  return Combine(acc[0], acc[1], acc[2], acc[3]);
-}
-
-void AxpySse2(double alpha, const double* x, double* y, size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(y + j, _mm_add_pd(_mm_loadu_pd(y + j),
-                                    _mm_mul_pd(va, _mm_loadu_pd(x + j))));
-  }
-  for (; j < n; ++j) y[j] = y[j] + alpha * x[j];
-}
-
-void AxpbyOutSse2(const double* x, double alpha, const double* y,
-                  double* out, size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(out + j, _mm_add_pd(_mm_loadu_pd(x + j),
-                                      _mm_mul_pd(va, _mm_loadu_pd(y + j))));
-  }
-  for (; j < n; ++j) out[j] = x[j] + alpha * y[j];
-}
-
-void ExtrapolateSse2(const double* w, const double* w_prev, double beta,
-                     double* y, size_t n) {
-  const __m128d vb = _mm_set1_pd(beta);
-  size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d vw = _mm_loadu_pd(w + j);
-    const __m128d d = _mm_sub_pd(vw, _mm_loadu_pd(w_prev + j));
-    _mm_storeu_pd(y + j, _mm_add_pd(vw, _mm_mul_pd(vb, d)));
-  }
-  for (; j < n; ++j) y[j] = w[j] + beta * (w[j] - w_prev[j]);
-}
-
-void SubInplaceSse2(double* r, const double* s, size_t n) {
-  size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(r + j, _mm_sub_pd(_mm_loadu_pd(r + j), _mm_loadu_pd(s + j)));
-  }
-  for (; j < n; ++j) r[j] = r[j] - s[j];
-}
-
-void ShiftReluSse2(double* v, double tau, size_t n) {
-  const __m128d vt = _mm_set1_pd(tau);
-  const __m128d zero = _mm_setzero_pd();
-  size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    _mm_storeu_pd(v + j,
-                  _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(v + j), vt), zero));
-  }
-  for (; j < n; ++j) {
-    const double d = v[j] - tau;
-    v[j] = d > 0.0 ? d : 0.0;
-  }
-}
+#include "common/simd_vector.inc"
 
 }  // namespace
 
 const SimdOps* GetSse2Ops() {
-  static const SimdOps ops = {
-      SimdLevel::kSse2, BoxLeafSumSse2, PointLeafSumSse2,
-      DotSse2,          SquaredNormSse2, SparseDotSse2,
-      AxpySse2,         AxpbyOutSse2,    ExtrapolateSse2,
-      SubInplaceSse2,   ShiftReluSse2,
-  };
+  static constexpr SimdOps ops = VectorOps(SimdLevel::kSse2);
   return &ops;
 }
 

@@ -4,14 +4,17 @@
 // input must produce BIT-IDENTICAL results under every dispatch level
 // (scalar, sse2, avx2 — whichever the host supports), because every
 // variant implements the same fixed lane-striped blocked reduction and
-// the same per-element operation sequence. Against a naive sequential
-// reference the blocked order may differ, which is what the library's
-// plan-vs-virtual 1e-12 tolerance absorbs; reductions are checked
-// against that reference at 1e-12 as well.
+// the same per-element operation sequence. Cross-level checks compare
+// bit patterns, so -0.0 vs +0.0 counts as a difference. Against a naive
+// sequential reference the blocked order may differ, which is what the
+// 1e-12 plan-vs-reference tolerance (tests/reference_eval.h) absorbs;
+// reductions are checked against that reference at 1e-12 as well.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "sel/sel.h"
@@ -42,6 +45,15 @@ std::vector<SimdLevel> SupportedLevels() {
     levels.push_back(SimdLevel::kAvx2);
   }
   return levels;
+}
+
+/// Bit patterns, so cross-level checks tell -0.0 from +0.0.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits(v.size());
+  for (size_t i = 0; i < v.size(); ++i) bits[i] = Bits(v[i]);
+  return bits;
 }
 
 std::vector<double> RandomVector(Rng* rng, size_t n, double lo = -1.0,
@@ -147,11 +159,11 @@ TEST(SimdKernelTest, ReductionsBitIdenticalAcrossLevels) {
         EXPECT_NEAR(sq, ref_sq, 1e-12) << "n=" << n;
         EXPECT_NEAR(sp, ref_sparse, 1e-12) << "n=" << n;
       } else {
-        EXPECT_EQ(d, base_dot)
+        EXPECT_EQ(Bits(d), Bits(base_dot))
             << "dot n=" << n << " level " << SimdLevelName(levels[li]);
-        EXPECT_EQ(sq, base_sq)
+        EXPECT_EQ(Bits(sq), Bits(base_sq))
             << "sqnorm n=" << n << " level " << SimdLevelName(levels[li]);
-        EXPECT_EQ(sp, base_sparse)
+        EXPECT_EQ(Bits(sp), Bits(base_sparse))
             << "sparse n=" << n << " level " << SimdLevelName(levels[li]);
       }
     }
@@ -159,15 +171,29 @@ TEST(SimdKernelTest, ReductionsBitIdenticalAcrossLevels) {
 }
 
 // Elementwise kernels: exact equality per element across levels (they
-// are clamp/fused-free arithmetic, no reduction involved).
+// are clamp/fused-free arithmetic, no reduction involved). Besides
+// random inputs, every size runs signed zeros — alpha/beta = -0.0 and
+// -0.0 entries, where y + alpha * x keeps -0.0 only if alpha's sign
+// survives the broadcast — and shift_relu at tau = 0 over v[j] == tau
+// and v[j] = -0.0, where only maxpd's operand order gives +0.0.
 TEST(SimdKernelTest, ElementwiseKernelsExactAcrossLevels) {
   Rng rng(2102);
   const std::vector<SimdLevel> levels = SupportedLevels();
-  for (size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 13u, 32u, 57u}) {
-    const std::vector<double> x = RandomVector(&rng, n);
-    const std::vector<double> y = RandomVector(&rng, n);
-    const double alpha = rng.Uniform(-2.0, 2.0);
-    const double tau = rng.Uniform(-0.5, 0.5);
+  const size_t sizes[] = {0, 1, 3, 4, 7, 8, 13, 32, 57};
+  for (size_t trial = 0; trial < 2 * std::size(sizes); ++trial) {
+    const size_t n = sizes[trial / 2];
+    const bool signed_zeros = trial % 2 == 1;
+    std::vector<double> x = RandomVector(&rng, n);
+    std::vector<double> y = RandomVector(&rng, n);
+    double alpha = rng.Uniform(-2.0, 2.0);
+    double tau = rng.Uniform(-0.5, 0.5);
+    if (signed_zeros) {
+      alpha = -0.0;
+      for (size_t j = 0; j < n; j += 2) x[j] = -0.0;
+      for (size_t j = 0; j < n; j += 3) y[j] = -0.0;
+      if (n > 1) x[1] = 0.0;
+      tau = 0.0;
+    }
 
     std::vector<double> axpy_base, axpby_base, extra_base, sub_base,
         relu_base;
@@ -191,18 +217,19 @@ TEST(SimdKernelTest, ElementwiseKernelsExactAcrossLevels) {
         sub_base = sub_v;
         relu_base = relu_v;
         for (size_t j = 0; j < n; ++j) {
-          EXPECT_EQ(axpy_v[j], y[j] + alpha * x[j]);
-          EXPECT_EQ(axpby_v[j], x[j] + alpha * y[j]);
-          EXPECT_EQ(extra_v[j], x[j] + alpha * (x[j] - y[j]));
-          EXPECT_EQ(sub_v[j], x[j] - y[j]);
+          EXPECT_EQ(Bits(axpy_v[j]), Bits(y[j] + alpha * x[j]));
+          EXPECT_EQ(Bits(axpby_v[j]), Bits(x[j] + alpha * y[j]));
+          EXPECT_EQ(Bits(extra_v[j]), Bits(x[j] + alpha * (x[j] - y[j])));
+          EXPECT_EQ(Bits(sub_v[j]), Bits(x[j] - y[j]));
           EXPECT_GE(relu_v[j], 0.0);
         }
       } else {
-        EXPECT_EQ(axpy_v, axpy_base) << SimdLevelName(levels[li]);
-        EXPECT_EQ(axpby_v, axpby_base) << SimdLevelName(levels[li]);
-        EXPECT_EQ(extra_v, extra_base) << SimdLevelName(levels[li]);
-        EXPECT_EQ(sub_v, sub_base) << SimdLevelName(levels[li]);
-        EXPECT_EQ(relu_v, relu_base) << SimdLevelName(levels[li]);
+        const char* name = SimdLevelName(levels[li]);
+        EXPECT_EQ(Bits(axpy_v), Bits(axpy_base)) << name << " n=" << n;
+        EXPECT_EQ(Bits(axpby_v), Bits(axpby_base)) << name << " n=" << n;
+        EXPECT_EQ(Bits(extra_v), Bits(extra_base)) << name << " n=" << n;
+        EXPECT_EQ(Bits(sub_v), Bits(sub_base)) << name << " n=" << n;
+        EXPECT_EQ(Bits(relu_v), Bits(relu_base)) << name << " n=" << n;
       }
     }
   }
@@ -248,9 +275,12 @@ TEST(SimdKernelTest, BoxLeafSumAcrossLevels) {
     PaddedBoxes boxes(&rng, d, n);
     const size_t begin = rng.UniformInt(n);
     const size_t end = begin + 1 + rng.UniformInt(n - begin);
+    // Some lower bounds are -0.0 and must give the same bits at every
+    // level. Box lows are positive, so Max(qlo, lo) is lo in either
+    // operand order; the relu and elementwise cases check that order.
     std::vector<double> qlo(d), qhi(d);
     for (int c = 0; c < d; ++c) {
-      qlo[c] = rng.Uniform(0.0, 0.6);
+      qlo[c] = rng.UniformInt(4) == 0 ? -0.0 : rng.Uniform(0.0, 0.6);
       qhi[c] = qlo[c] + rng.Uniform(0.0, 1.0 - qlo[c]);
     }
 
@@ -283,7 +313,7 @@ TEST(SimdKernelTest, BoxLeafSumAcrossLevels) {
         EXPECT_NEAR(got, ref, 1e-12)
             << "d=" << d << " n=" << n << " [" << begin << "," << end << ")";
       } else {
-        EXPECT_EQ(got, base)
+        EXPECT_EQ(Bits(got), Bits(base))
             << "d=" << d << " n=" << n << " [" << begin << "," << end
             << ") level " << SimdLevelName(levels[li]);
       }
@@ -340,7 +370,7 @@ TEST(SimdKernelTest, PointLeafSumAcrossLevels) {
         base = got;
         EXPECT_NEAR(got, ref, 1e-12) << "d=" << d << " n=" << n;
       } else {
-        EXPECT_EQ(got, base)
+        EXPECT_EQ(Bits(got), Bits(base))
             << "d=" << d << " n=" << n << " level "
             << SimdLevelName(levels[li]);
       }
@@ -394,7 +424,7 @@ TEST(SimdKernelTest, CompiledPlanIdenticalAcrossLevels) {
           base = got;
           EXPECT_NEAR(got, ref, 1e-12) << "d=" << d << " probe " << probe;
         } else {
-          EXPECT_EQ(got, base)
+          EXPECT_EQ(Bits(got), Bits(base))
               << "d=" << d << " probe " << probe << " level "
               << SimdLevelName(levels[li]);
         }
@@ -446,11 +476,11 @@ TEST(SimdKernelTest, MatrixOpsIdenticalAcrossLevels) {
       // zeros), so compare at the library tolerance.
       for (int i = 0; i < rows; ++i) EXPECT_NEAR(dy[i], sy[i], 1e-12);
     } else {
-      EXPECT_EQ(dy, base_dy) << SimdLevelName(levels[li]);
-      EXPECT_EQ(dt, base_dt) << SimdLevelName(levels[li]);
-      EXPECT_EQ(sy, base_sy) << SimdLevelName(levels[li]);
-      EXPECT_EQ(st, base_st) << SimdLevelName(levels[li]);
-      EXPECT_EQ(norm, base_norm) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(dy), Bits(base_dy)) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(dt), Bits(base_dt)) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(sy), Bits(base_sy)) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(st), Bits(base_st)) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(norm), Bits(base_norm)) << SimdLevelName(levels[li]);
     }
   }
 }
@@ -485,14 +515,15 @@ TEST(SimdKernelTest, SolverIdenticalAcrossLevels) {
     if (li == 0) {
       base_w = result.value().w;
     } else {
-      EXPECT_EQ(result.value().w, base_w) << SimdLevelName(levels[li]);
+      EXPECT_EQ(Bits(result.value().w), Bits(base_w))
+          << SimdLevelName(levels[li]);
     }
   }
 }
 
-// Satellite: the power-iteration Lipschitz estimate is memoized on the
-// matrix, so repeated solves over the same A (the degradation chain's
-// retry pattern) estimate once and hit the cache afterwards.
+// The power-iteration Lipschitz estimate is memoized on the matrix, so
+// repeated solves over the same A (the degradation chain's retry
+// pattern) estimate once and hit the cache afterwards.
 TEST(SimdKernelTest, LipschitzEstimateCachedBetweenSolves) {
   Rng rng(2108);
   const int rows = 25, cols = 10;

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # CI guard: the SIMD kernel layer must actually pay off.
 #
-# Runs bench_simd_kernels several times (the binary itself alternates
+# Runs bench_simd_kernels twice (the binary itself alternates
 # dispatch levels within every round and reports a per-level min), keeps
 # the per-(kernel, level) minimum across runs — the min is the standard
 # noise-robust statistic for "how fast can this go" — and fails unless
 # the widest vector level's box_leaf_sum kernel beats forced-scalar by
-# at least the floor (default 1.8x). The box kernel is the guarded one
+# at least the floor of 1.8x. The box kernel is the guarded one
 # because it dominates plan serving time; the other kernels are printed
 # for visibility.
 #
@@ -14,13 +14,11 @@
 # guard checks the vector implementations, not the host's ISA.
 #
 #   usage: check_simd_speedup.sh <path-to-bench_simd_kernels>
-#
-# Knobs: SEL_SIMD_MIN_SPEEDUP (default 1.8), SEL_SIMD_ROUNDS (default 2).
 set -u
 
 BENCH="${1:?usage: check_simd_speedup.sh <path-to-bench_simd_kernels>}"
-MIN_SPEEDUP="${SEL_SIMD_MIN_SPEEDUP:-1.8}"
-ROUNDS="${SEL_SIMD_ROUNDS:-2}"
+MIN_SPEEDUP=1.8  # widest level's box_leaf_sum vs forced-scalar
+ROUNDS=2         # bench runs; the min across them is compared
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "${WORKDIR}"' EXIT
 
