@@ -93,8 +93,8 @@ int Main() {
   std::vector<double> ref_est;
 
   // Reference model for batched prediction.
-  auto ref_model = StaticPointModel::Create(
-      points, Vector(points.size(), 1.0 / points.size()));
+  auto ref_model = PlanModel::Create(CompiledPlan::FromPointBuckets(
+      points, Vector(points.size(), 1.0 / points.size()), "staticpoints"));
   SEL_CHECK(ref_model.ok());
 
   TablePrinter t({"task", "threads", "seconds", "speedup", "identical"});

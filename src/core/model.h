@@ -70,8 +70,8 @@ class SelectivityModel {
   virtual std::string Name() const = 0;
 
   /// The EstimatorRegistry key this model serializes/dispatches under.
-  /// Defaults to the lowercased Name(); models whose key differs (the
-  /// static forms) override it.
+  /// Defaults to the lowercased Name(); models whose key differs
+  /// (PlanModel) override it.
   virtual std::string RegistryName() const;
 
   /// Lowers the trained model to its flat serving form (serve/ IR).
@@ -89,9 +89,9 @@ class SelectivityModel {
   Result<double> TryEstimate(const Query& query) const;
 
   /// The plan every Estimate is answered from: built at the end of Train
-  /// (at construction for the static and plan models); nullptr before
-  /// then and for non-lowerable models. Callers keep the shared_ptr
-  /// alive for lock-free reads.
+  /// (at construction for PlanModel); nullptr before then and for
+  /// non-lowerable models. Callers keep the shared_ptr alive for
+  /// lock-free reads.
   std::shared_ptr<const CompiledPlan> shared_plan() const { return plan_; }
 
   /// Statistics from the last Train call.

@@ -42,14 +42,6 @@ Status WriteHeader(std::ostream& out, const std::string& kind, int dim,
   return out.good() ? Status::OK() : Status::IOError("write failed");
 }
 
-/// The legacy kind tags predate the registry; map them onto the static
-/// forms they have always deserialized to.
-std::string CanonicalKind(const std::string& kind) {
-  if (kind == "histogram") return "static";
-  if (kind == "points") return "staticpoints";
-  return kind;
-}
-
 /// A well-formed file whose records cannot lower to a serving plan
 /// (e.g. every weight is zero) is as unusable as a corrupt one.
 Status CannotServe(const ModelLoadContext& ctx, const Status& why) {
@@ -57,10 +49,14 @@ Status CannotServe(const ModelLoadContext& ctx, const Status& why) {
                          ": " + why.message());
 }
 
+/// Appends each value as it is parsed, so a record shorter than the
+/// header's dimension fails before `n` (untrusted) sizes any allocation.
 bool ReadDoubles(std::istringstream& is, int n, Point* out) {
-  out->resize(n);
+  out->clear();
+  double x = 0.0;
   for (int j = 0; j < n; ++j) {
-    if (!(is >> (*out)[j]) || !std::isfinite((*out)[j])) return false;
+    if (!(is >> x) || !std::isfinite(x)) return false;
+    out->push_back(x);
   }
   return true;
 }
@@ -265,7 +261,8 @@ Result<std::unique_ptr<SelectivityModel>> LoadBoxModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  auto model = StaticHistogram::Create(std::move(boxes), std::move(weights));
+  auto model = PlanModel::Create(CompiledPlan::FromBoxBuckets(
+      boxes, weights, VolumeOptions{}, "static"));
   if (!model.ok()) return CannotServe(ctx, model.status());
   return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
@@ -286,7 +283,8 @@ Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
         return Status::OK();
       });
   if (!st.ok()) return st;
-  auto model = StaticPointModel::Create(std::move(points), std::move(weights));
+  auto model = PlanModel::Create(
+      CompiledPlan::FromPointBuckets(points, weights, "staticpoints"));
   if (!model.ok()) return CannotServe(ctx, model.status());
   return std::unique_ptr<SelectivityModel>(std::move(model).value());
 }
@@ -449,6 +447,18 @@ Status SaveModel(const SelectivityModel& model, const std::string& path) {
 
 namespace {
 
+/// Box- and point-record kind tags that are not registry names
+/// ("histogram" / "points" from SaveHistogramModel / SavePointModel,
+/// "static" / "staticpoints" in older files) load straight into a
+/// PlanModel; any other kind loads through its registry entry's hook.
+EstimatorRegistry::LoadFn FindLoader(const std::string& kind) {
+  if (kind == "histogram" || kind == "static") return LoadBoxModel;
+  if (kind == "points" || kind == "staticpoints") return LoadPointModel;
+  const EstimatorRegistry::Entry* entry =
+      EstimatorRegistry::Global().Find(kind);
+  return entry == nullptr ? nullptr : entry->load;
+}
+
 Result<std::unique_ptr<SelectivityModel>> LoadModelImpl(
     const std::string& path) {
   std::ifstream file(path, std::ios::binary);
@@ -488,9 +498,8 @@ Result<std::unique_ptr<SelectivityModel>> LoadModelImpl(
     return Status::IOError("invalid model dimensions in " + path);
   }
 
-  const EstimatorRegistry::Entry* entry =
-      EstimatorRegistry::Global().Find(CanonicalKind(kind));
-  if (entry == nullptr || entry->load == nullptr) {
+  const EstimatorRegistry::LoadFn load = FindLoader(kind);
+  if (load == nullptr) {
     return Status::IOError("unknown model kind '" + kind + "' in " + path);
   }
   ModelLoadContext ctx;
@@ -499,7 +508,7 @@ Result<std::unique_ptr<SelectivityModel>> LoadModelImpl(
   ctx.in = &in;
   ctx.kind = kind;
   ctx.path = path;
-  auto loaded = entry->load(ctx);
+  auto loaded = load(ctx);
   if (loaded.ok() && file_size > 0) {
     SEL_METRIC_COUNTER_ADD("io.model.read_bytes",
                            static_cast<uint64_t>(file_size));

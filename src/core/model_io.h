@@ -15,8 +15,10 @@
 // The header carries the EstimatorRegistry name; SaveModel/LoadModel
 // dispatch through the registry's per-estimator save/load hooks, so an
 // estimator opts into persistence by registering them (queryable via
-// EstimatorRegistry::SupportsSave). The legacy kind tags "histogram"
-// and "points" load as aliases of "static"/"staticpoints".
+// EstimatorRegistry::SupportsSave). The flat-form kind tags
+// "histogram" and "static" (box records) and "points" and
+// "staticpoints" (point records) are not registry names: each loads its
+// records straight into a PlanModel.
 #ifndef SEL_CORE_MODEL_IO_H_
 #define SEL_CORE_MODEL_IO_H_
 
@@ -28,7 +30,6 @@
 #include "core/estimator_registry.h"
 #include "core/gmm.h"
 #include "core/model.h"
-#include "core/static_model.h"
 
 namespace sel {
 
@@ -39,8 +40,8 @@ Status SaveModel(const SelectivityModel& model, const std::string& path);
 
 /// Loads any saved model by dispatching the header's registry name to
 /// the matching load hook; the result estimates identically to the
-/// serialized one (box/point estimators load as static models; GMMs
-/// load as a fresh GmmModel equivalent).
+/// serialized one (box/point estimators load as a PlanModel over their
+/// records; GMMs load as a fresh GmmModel equivalent).
 Result<std::unique_ptr<SelectivityModel>> LoadModel(const std::string& path);
 
 /// Reads only the header of a saved model and returns its dimension.
@@ -65,10 +66,12 @@ Status WriteGaussModel(std::ostream& out, const std::string& kind,
                        const std::vector<Point>& stddevs,
                        const Vector& weights);
 
-/// Reads `ctx.num_buckets` box records and returns a StaticHistogram.
+/// Reads `ctx.num_buckets` box records and returns a PlanModel over
+/// them (Eq. 6; zero-weight records are dropped). A file whose records
+/// cannot lower (e.g. every weight zero) is an IOError.
 Result<std::unique_ptr<SelectivityModel>> LoadBoxModel(ModelLoadContext& ctx);
 
-/// Reads point records and returns a StaticPointModel.
+/// Reads point records and returns a PlanModel over them (Eq. 7).
 Result<std::unique_ptr<SelectivityModel>> LoadPointModel(
     ModelLoadContext& ctx);
 
@@ -86,7 +89,7 @@ Result<std::unique_ptr<SelectivityModel>> LoadPlanModel(
     ModelLoadContext& ctx);
 
 /// Writes a histogram-form model (boxes + weights) to `path` under the
-/// legacy "histogram" kind tag (loads back as a StaticHistogram).
+/// legacy "histogram" kind tag (loads back as a PlanModel).
 Status SaveHistogramModel(const std::vector<Box>& buckets,
                           const Vector& weights, const std::string& path);
 

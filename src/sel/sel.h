@@ -42,7 +42,6 @@
 #include "core/model.h"
 #include "core/model_io.h"
 #include "core/online.h"
-#include "core/static_model.h"
 #include "core/ptshist.h"
 #include "core/quadhist.h"
 #include "data/csv_io.h"

@@ -122,8 +122,13 @@ TEST(EstimatorRegistryTest, ExpectedNamesAreRegistered) {
     return std::set<std::string>(v.begin(), v.end());
   }();
   for (const char* required : {"quadhist", "ptshist", "quicksel", "isomer",
-                               "gmm", "avi", "static", "staticpoints"}) {
+                               "gmm", "avi", "plan"}) {
     EXPECT_TRUE(names.count(required)) << required;
+  }
+  // The flat forms load as plans; their kind tags are load aliases in
+  // model_io, not estimators.
+  for (const char* alias : {"static", "staticpoints"}) {
+    EXPECT_FALSE(names.count(alias)) << alias;
   }
 }
 
@@ -141,12 +146,10 @@ TEST(EstimatorRegistryTest, BuildTrainEstimateEveryRegisteredName) {
     EXPECT_EQ(model.RegistryName(), name);
     EXPECT_EQ(model.Name(),
               EstimatorRegistry::Global().Find(name)->display_name);
-    // The static forms, data-driven AVI, and the immutable compiled-plan
-    // wrapper reject workload training by contract; everything else must
-    // train.
+    // Data-driven AVI and the immutable compiled-plan wrapper reject
+    // workload training by contract; everything else must train.
     const Status trained = model.Train(train);
-    if (name == "static" || name == "staticpoints" || name == "avi" ||
-        name == "plan") {
+    if (name == "avi" || name == "plan") {
       EXPECT_FALSE(trained.ok()) << name;
     } else {
       ASSERT_TRUE(trained.ok()) << name << ": " << trained.ToString();
@@ -159,8 +162,7 @@ TEST(EstimatorRegistryTest, BuildTrainEstimateEveryRegisteredName) {
 
 TEST(EstimatorRegistryTest, SaveCapabilityMatchesHooks) {
   const EstimatorRegistry& reg = EstimatorRegistry::Global();
-  for (const char* savable :
-       {"quadhist", "ptshist", "gmm", "static", "staticpoints", "plan"}) {
+  for (const char* savable : {"quadhist", "ptshist", "gmm", "plan"}) {
     EXPECT_TRUE(reg.SupportsSave(savable)) << savable;
   }
   for (const char* transient : {"quicksel", "isomer", "avi"}) {

@@ -94,12 +94,10 @@ TEST(GoldenRegressionTest, EveryTrainableEstimatorStaysInsideItsBand) {
   size_t trained = 0;
 
   for (const std::string& name : EstimatorRegistry::Global().Names()) {
-    // The static models are uniform priors until loaded from disk, AVI
-    // builds from the dataset at construction, and the compiled-plan
-    // wrapper is immutable by design; none of them has a
-    // workload-training mode to regress against.
-    if (name == "static" || name == "staticpoints" || name == "avi" ||
-        name == "plan") {
+    // AVI builds from the dataset at construction, and the compiled-plan
+    // wrapper is a uniform prior until loaded from disk and immutable by
+    // design; neither has a workload-training mode to regress against.
+    if (name == "avi" || name == "plan") {
       continue;
     }
     ASSERT_TRUE(GoldenBands().count(name) == 1)

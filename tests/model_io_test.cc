@@ -1,5 +1,6 @@
-// Tests for static models and model serialization: every trained model
-// round-trips through the text format with identical predictions.
+// Tests for model serialization: every trained model round-trips
+// through the text format with identical predictions, and box/point
+// record files load as plans over their Eq. (6)/(7) records.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,9 +13,10 @@
 #include "core/model_io.h"
 #include "core/ptshist.h"
 #include "core/quadhist.h"
-#include "core/static_model.h"
 #include "data/generators.h"
 #include "index/kdtree.h"
+#include "reference_eval.h"
+#include "serve/plan_model.h"
 #include "workload/workload.h"
 
 namespace sel {
@@ -40,12 +42,15 @@ struct Fixture {
   CountingKdTree index;
 };
 
+// The flat forms: a plan lowered straight from Eq. (6) box or Eq. (7)
+// point records, which is what a loaded box or point file is.
 TEST(StaticModelTest, HistogramEstimatesViaEq6) {
   std::vector<Box> buckets = {Box({0.0, 0.0}, {0.5, 1.0}),
                               Box({0.5, 0.0}, {1.0, 1.0})};
-  auto built = StaticHistogram::Create(buckets, {0.8, 0.2});
+  auto built = PlanModel::Create(CompiledPlan::FromBoxBuckets(
+      buckets, {0.8, 0.2}, VolumeOptions{}, "static"));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const StaticHistogram& m = *built.value();
+  const PlanModel& m = *built.value();
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.5, 1.0})), 0.8, 1e-12);
   EXPECT_NEAR(m.Estimate(Box({0.0, 0.0}, {0.25, 1.0})), 0.4, 1e-12);
   EXPECT_NEAR(m.Estimate(Box::Unit(2)), 1.0, 1e-12);
@@ -53,20 +58,22 @@ TEST(StaticModelTest, HistogramEstimatesViaEq6) {
 }
 
 TEST(StaticModelTest, PointModelEstimatesViaEq7) {
-  auto built = StaticPointModel::Create({{0.25, 0.25}, {0.75, 0.75}},
-                                       {0.3, 0.7});
+  auto built = PlanModel::Create(CompiledPlan::FromPointBuckets(
+      {{0.25, 0.25}, {0.75, 0.75}}, {0.3, 0.7}, "staticpoints"));
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const StaticPointModel& m = *built.value();
+  const PlanModel& m = *built.value();
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.0, 0.0}, {0.5, 0.5})), 0.3);
   EXPECT_DOUBLE_EQ(m.Estimate(Box({0.5, 0.5}, {1.0, 1.0})), 0.7);
   EXPECT_DOUBLE_EQ(m.Estimate(Box::Unit(2)), 1.0);
 }
 
 TEST(StaticModelTest, TrainIsRejected) {
-  auto h = StaticHistogram::Create({Box::Unit(2)}, {1.0});
+  auto h = PlanModel::Create(CompiledPlan::FromBoxBuckets(
+      {Box::Unit(2)}, {1.0}, VolumeOptions{}, "static"));
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h.value()->Train({}).code(), StatusCode::kFailedPrecondition);
-  auto p = StaticPointModel::Create({{0.5, 0.5}}, {1.0});
+  auto p = PlanModel::Create(
+      CompiledPlan::FromPointBuckets({{0.5, 0.5}}, {1.0}, "staticpoints"));
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value()->Train({}).code(), StatusCode::kFailedPrecondition);
 }
@@ -101,7 +108,9 @@ TEST(ModelIoTest, PtsHistRoundTripIdenticalEstimates) {
           .ok());
   auto loaded = LoadModel(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value()->NumBuckets(), model.NumBuckets());
+  // The file loads as a plan, which drops zero-weight buckets: compare
+  // with the trained model's own plan, not its bucket count.
+  EXPECT_EQ(loaded.value()->NumBuckets(), model.shared_plan()->size());
   for (const auto& z : f.Make(50, 904)) {
     EXPECT_NEAR(loaded.value()->Estimate(z.query), model.Estimate(z.query),
                 1e-5);
@@ -137,16 +146,21 @@ TEST(ModelIoTest, RegistrySaveLoadBitIdenticalEstimates) {
     auto built = EstimatorRegistry::Build(name, 2, train.size());
     ASSERT_TRUE(built.ok()) << name << ": " << built.status().ToString();
     SelectivityModel& model = *built.value();
-    // Static forms and the compiled-plan wrapper ship untrained (uniform
-    // prior); everything else is trained before serialization.
-    if (name != "static" && name != "staticpoints" && name != "plan") {
+    // The compiled-plan wrapper ships untrained (uniform prior);
+    // everything else is trained before serialization.
+    if (name != "plan") {
       ASSERT_TRUE(model.Train(train).ok()) << name;
     }
     const std::string path = TempPath("sel_registry_" + name + ".model");
     ASSERT_TRUE(SaveModel(model, path).ok()) << name;
     auto loaded = LoadModel(path);
     ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
-    EXPECT_EQ(loaded.value()->NumBuckets(), model.NumBuckets()) << name;
+    // Box and point files load as plans, which drop zero-weight buckets;
+    // a non-lowerable model (gmm) has no plan and keeps its own count.
+    const size_t expected_buckets = model.shared_plan() != nullptr
+                                        ? model.shared_plan()->size()
+                                        : model.NumBuckets();
+    EXPECT_EQ(loaded.value()->NumBuckets(), expected_buckets) << name;
     // %.17g serialization round-trips doubles exactly: re-saving the
     // loaded model and loading again must give bit-identical estimates.
     const std::string path2 = TempPath("sel_registry_" + name + "_2.model");
@@ -297,6 +311,57 @@ std::string Slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+// Every header a box or point record file can carry loads as a plan
+// over its records, whatever estimator wrote it, and re-saves as a plan
+// file that names the record form it came from.
+TEST(ModelIoTest, FlatRecordHeadersLoadAsPlans) {
+  const std::vector<Box> boxes = {Box({0.0, 0.0}, {0.5, 1.0}),
+                                  Box({0.5, 0.0}, {1.0, 0.5}),
+                                  Box({0.5, 0.5}, {1.0, 1.0})};
+  const Vector box_weights = {0.6, 0.0, 0.4};
+  const std::vector<Point> points = {{0.25, 0.25}, {0.5, 0.9}, {0.75, 0.75}};
+  const Vector point_weights = {0.3, 0.0, 0.7};
+  const std::vector<Query> probes = {
+      Query(Box({0.0, 0.0}, {0.5, 1.0})), Query(Box({0.1, 0.2}, {0.9, 0.7})),
+      Query(Box({0.3, 0.3}, {0.8, 0.8})), Query(Box::Unit(2))};
+  const std::string path = TempPath("sel_flat_header.model");
+  const std::string resaved = TempPath("sel_flat_header_plan.model");
+  for (const std::string kind :
+       {"histogram", "static", "quadhist", "points", "staticpoints",
+        "ptshist"}) {
+    const bool is_box =
+        kind == "histogram" || kind == "static" || kind == "quadhist";
+    {
+      std::ofstream out(path);
+      const Status st =
+          is_box ? WriteBoxModel(out, kind, boxes, box_weights)
+                 : WritePointModel(out, kind, points, point_weights);
+      ASSERT_TRUE(st.ok()) << kind << ": " << st.ToString();
+    }
+    auto loaded = LoadModel(path);
+    ASSERT_TRUE(loaded.ok()) << kind << ": " << loaded.status().ToString();
+    const SelectivityModel& m = *loaded.value();
+    EXPECT_EQ(m.RegistryName(), "plan") << kind;
+    // The zero-weight record is dropped from the plan.
+    EXPECT_EQ(m.NumBuckets(), 2u) << kind;
+    for (const Query& q : probes) {
+      const double want =
+          is_box ? ReferenceBoxEstimate(q, boxes, box_weights, VolumeOptions{})
+                 : ReferencePointEstimate(q, points, point_weights);
+      EXPECT_NEAR(m.Estimate(q), want, 1e-12) << kind;
+    }
+    ASSERT_TRUE(SaveModel(m, resaved).ok()) << kind;
+    const std::string text = Slurp(resaved);
+    EXPECT_NE(text.find("\nselmodel 1 plan 2 2\n"), std::string::npos)
+        << kind << ": " << text;
+    const std::string psrc =
+        is_box ? "\npsrc static\n" : "\npsrc staticpoints\n";
+    EXPECT_NE(text.find(psrc), std::string::npos) << kind << ": " << text;
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(resaved);
 }
 
 TEST(ModelIoTest, SaveWritesCrcTrailerAndLoadVerifiesIt) {

@@ -34,11 +34,9 @@ done
 
 for name in ${NAMES}; do
   savable="$(awk -v n="${name}" '$1 == n { print $4 }' estimators.txt)"
-  if [ "${name}" = "static" ] || [ "${name}" = "staticpoints" ] \
-      || [ "${name}" = "plan" ]; then
-    # Static models and compiled plans are savable but immutable:
-    # training must fail with the model's own contract error, not a
-    # crash.
+  if [ "${name}" = "plan" ]; then
+    # Compiled plans are savable but immutable: training must fail with
+    # the model's own contract error, not a crash.
     if "${SELCLI}" train train.csv "${name}.model" "${name}" \
         > out.txt 2> err.txt; then
       fail "train ${name} should have failed (immutable model)"
@@ -75,6 +73,17 @@ grep -q "unknown estimator 'nosuchmodel'" err.txt \
   || fail "unknown-estimator error not from registry: $(cat err.txt)"
 [ -s out.txt ] && fail "unknown-estimator error leaked to stdout"
 
+# The flat-form kind tags load model files but name no estimator:
+# training under one is an unknown estimator (exit 3).
+for alias in static staticpoints; do
+  "${SELCLI}" train train.csv x.model "${alias}" > out.txt 2> err.txt
+  rc=$?
+  [ "${rc}" -eq 3 ] \
+    || fail "train ${alias} should exit 3 (unknown estimator), got ${rc}"
+  grep -q "unknown estimator '${alias}'" err.txt \
+    || fail "train ${alias} missing unknown-estimator error: $(cat err.txt)"
+done
+
 # Corrupt model files are IOError (exit 10), reported on stderr.
 printf 'selmodel 1 static 2 3\nbox 0 0 1 nan 0.5\n' > corrupt.model
 "${SELCLI}" evaluate corrupt.model test.csv > out.txt 2> err.txt
@@ -90,6 +99,23 @@ head -n 2 quadhist.model > truncated.model
 rc=$?
 [ "${rc}" -eq 10 ] \
   || fail "truncated model should exit 10 (IOError), got ${rc}"
+
+# A header that claims a huge dimension over a short record is a
+# malformed record (exit 10), not an allocation sized by the header. The
+# address-space cap turns such an allocation into a quick failure.
+# Sanitizer builds reserve terabytes of shadow address space and cannot
+# start under the cap, so they run the case uncapped.
+capped=1
+{ ( ulimit -v 1500000 && "${SELCLI}" estimators ); } > /dev/null 2>&1 \
+  || capped=0
+printf 'selmodel 1 quadhist 400000000 1\nbox 0.1\n' > huge_dim.model
+( [ "${capped}" -eq 0 ] || ulimit -v 1500000
+  "${SELCLI}" evaluate huge_dim.model test.csv > out.txt 2> err.txt )
+rc=$?
+[ "${rc}" -eq 10 ] \
+  || fail "huge-dimension model should exit 10 (IOError), got ${rc}"
+grep -q "malformed box record" err.txt \
+  || fail "huge-dimension model missing malformed-record error: $(cat err.txt)"
 
 # A workload whose dimension differs from the model's is InvalidArgument
 # (exit 3), caught before any estimate runs.

@@ -190,15 +190,24 @@ TEST(ServePlanTest, PlanMatchesVirtualPathEverywhere) {
   }
 }
 
-// The always-fitted static forms lower at construction; forms that
-// cannot lower (every weight zero) are refused by the factory.
+// The flat forms (what a loaded box or point file becomes) lower
+// straight from their records; forms that cannot lower (every weight
+// zero, or empty) are refused.
 TEST(ServePlanTest, StaticFormsLower) {
   const std::vector<Box> boxes = {Box({0.0, 0.0}, {0.5, 1.0}),
                                   Box({0.5, 0.0}, {1.0, 1.0})};
   const std::vector<Point> points = {{0.25, 0.25}, {0.75, 0.75}};
-  auto h = StaticHistogram::Create(boxes, {0.8, 0.2});
+  auto box_plan = [&](const std::vector<Box>& b, const Vector& w) {
+    return PlanModel::Create(
+        CompiledPlan::FromBoxBuckets(b, w, VolumeOptions{}, "static"));
+  };
+  auto point_plan = [&](const Vector& w) {
+    return PlanModel::Create(
+        CompiledPlan::FromPointBuckets(points, w, "staticpoints"));
+  };
+  auto h = box_plan(boxes, {0.8, 0.2});
   ASSERT_TRUE(h.ok()) << h.status().ToString();
-  auto p = StaticPointModel::Create(points, {0.3, 0.7});
+  auto p = point_plan({0.3, 0.7});
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   ASSERT_NE(h.value()->shared_plan(), nullptr);
   ASSERT_NE(p.value()->shared_plan(), nullptr);
@@ -211,9 +220,9 @@ TEST(ServePlanTest, StaticFormsLower) {
     EXPECT_NEAR(p.value()->Estimate(q),
                 ReferencePointEstimate(q, points, {0.3, 0.7}), 1e-12);
   }
-  EXPECT_FALSE(StaticHistogram::Create(boxes, {0.0, 0.0}).ok());
-  EXPECT_FALSE(StaticPointModel::Create(points, {0.0, 0.0}).ok());
-  EXPECT_FALSE(StaticHistogram::Create({}, {}).ok());
+  EXPECT_FALSE(box_plan(boxes, {0.0, 0.0}).ok());
+  EXPECT_FALSE(point_plan({0.0, 0.0}).ok());
+  EXPECT_FALSE(box_plan({}, {}).ok());
 }
 
 // GMM and AVI have no flat bucket form; Compile says so instead of

@@ -5,21 +5,18 @@
 # SEL_METRICS=1 — taking the minimum of several repetitions (the min is
 # the standard noise-robust statistic for "how fast can this go"), and
 # fails if any benchmark's enabled time exceeds its disabled time by
-# more than the threshold (default 3%) plus a small absolute epsilon
-# for sub-microsecond timers.
+# more than the threshold of 3% plus a small absolute epsilon for
+# sub-microsecond timers.
 #
 #   usage: check_metrics_overhead.sh <path-to-bench_micro>
-#
-# Knobs: SEL_OVERHEAD_PCT (default 3), SEL_OVERHEAD_REPS (default 3),
-# SEL_OVERHEAD_ROUNDS (default 2), SEL_OVERHEAD_FILTER (default the
-# estimate/volume hot loops).
 set -u
 
 BENCH="${1:?usage: check_metrics_overhead.sh <path-to-bench_micro>}"
-PCT="${SEL_OVERHEAD_PCT:-3}"
-REPS="${SEL_OVERHEAD_REPS:-3}"
-ROUNDS="${SEL_OVERHEAD_ROUNDS:-2}"
-FILTER="${SEL_OVERHEAD_FILTER:-BM_QuadHistEstimate|BM_PtsHistEstimate|BM_BoxBoxVolume/6}"
+PCT=3     # allowed enabled-over-disabled slowdown, percent
+REPS=3    # repetitions per bench run
+ROUNDS=2  # alternating off/on rounds; each side keeps its min
+# The estimate/volume hot loops.
+FILTER="BM_QuadHistEstimate|BM_PtsHistEstimate|BM_BoxBoxVolume/6"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "${WORKDIR}"' EXIT
 

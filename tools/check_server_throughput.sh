@@ -4,20 +4,19 @@
 # Runs bench_server_throughput (the binary alternates cells across
 # rounds in-process and reports a best-of qps per cell), then requires
 # the EstimateBatch frame shape to clear the single-Estimate-per-frame
-# shape by at least the floor (default 2x) in EVERY (clients, window)
+# shape by at least the floor of 2x in EVERY (clients, window)
 # cell. Per-cell, not aggregate: the batch win is frame/syscall
 # amortization over 64 queries, so any cell falling under 2x means the
 # batching layer itself regressed, not a noisy neighbor.
 #
 #   usage: check_server_throughput.sh <path-to-bench_server_throughput>
 #
-# Knobs: SEL_SERVER_MIN_SPEEDUP (default 2.0), REPRO_SCALE (default
-# 0.05 here — the guard wants the protocol overhead ratio, not dataset
-# scale, and small keeps CI fast).
+# REPRO_SCALE defaults to 0.05 here: the guard wants the protocol
+# overhead ratio, not dataset scale, and small keeps CI fast.
 set -u
 
 BENCH="${1:?usage: check_server_throughput.sh <path-to-bench_server_throughput>}"
-MIN_SPEEDUP="${SEL_SERVER_MIN_SPEEDUP:-2.0}"
+MIN_SPEEDUP=2.0  # batch-frame qps over single-frame qps, every cell
 export REPRO_SCALE="${REPRO_SCALE:-0.05}"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "${WORKDIR}"' EXIT

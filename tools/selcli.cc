@@ -253,8 +253,8 @@ int Compile(int argc, char** argv) {
   const CompiledPlan& p = *compiled.value()->shared_plan();
   std::printf("compiled %s -> plan: %zu entries (%zu box, %zu point), "
               "dim %d\nplan written to %s\n",
-              model.value()->Name().c_str(), p.size(), p.num_box_entries(),
-              p.num_point_entries(), p.dim(), argv[1]);
+              argv[0], p.size(), p.num_box_entries(), p.num_point_entries(),
+              p.dim(), argv[1]);
   return 0;
 }
 
