@@ -6,7 +6,7 @@
 // the end of Train (DESIGN.md §11), with the SIMD leaf kernels on
 // (simd=auto) and pinned off (simd=scalar).
 //
-// Methodology mirrors check_metrics_overhead.sh: alternating
+// Methodology mirrors tools/check_bench.py: alternating
 // auto/scalar rounds with a min-statistic per level, so one-sided cache
 // warmup or a scheduler hiccup cannot fake (or hide) a difference.
 #include "bench_common.h"

@@ -4,10 +4,10 @@
 // Estimate frame per query, the per-request path) and "batch" (64
 // queries per EstimateBatch frame). Every config pushes the same total
 // query count, so elapsed times compare directly and qps isolates the
-// frame/syscall amortization. tools/check_server_throughput.sh parses
-// the CSV and enforces the batched path's >= 2x floor in release CI.
+// frame/syscall amortization. tools/check_bench.py reads the CSV and
+// enforces the batched path's >= 2x floor in release CI.
 //
-// Methodology mirrors check_metrics_overhead.sh: alternating rounds with a
+// Methodology mirrors tools/check_bench.py: alternating rounds with a
 // best-of statistic per cell, so one-sided warmup or a scheduler hiccup
 // cannot fake (or hide) a win.
 #include "bench_common.h"

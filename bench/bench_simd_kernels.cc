@@ -4,12 +4,12 @@
 // solver-shaped kernels run over plain unpadded vectors like FISTA and
 // over CSR-like rows like SparseMatrix::Apply.
 //
-// Methodology follows check_metrics_overhead.sh: every round measures
-// EVERY level back to back (alternating), and each (kernel, level)
-// keeps its minimum, so one-sided cache warmup or a scheduler hiccup
-// cannot fake (or hide) a speedup. tools/check_simd_speedup.sh parses
-// the CSV and enforces the widest level's box-kernel speedup floor
-// over forced-scalar in the release CI lane.
+// Methodology follows tools/check_bench.py: every round measures EVERY
+// level back to back (alternating), and each (kernel, level) keeps its
+// minimum, so one-sided cache warmup or a scheduler hiccup cannot fake
+// (or hide) a speedup. tools/check_bench.py reads the CSV and enforces
+// the widest level's box-kernel speedup floor over forced-scalar in the
+// release CI lane.
 #include <algorithm>
 #include <functional>
 #include <iterator>
@@ -192,7 +192,7 @@ int main() {
   t.Print();
   std::printf("\nExpected: the vector variants beat scalar on every "
               "kernel; the AVX2 box kernel clears the 1.8x floor that "
-              "tools/check_simd_speedup.sh enforces. Results are "
+              "tools/check_bench.py enforces. Results are "
               "bit-identical across levels by construction (the blocked "
               "reduction order is fixed), so the speedup is free of "
               "accuracy trade-offs.\n");

@@ -11,8 +11,8 @@
 //
 // Discipline mirrors SEL_FAULT_POINT and the metrics macros: when no
 // deadline or cancel token is armed anywhere in the process, the check
-// compiles to ONE relaxed atomic load (`tools/check_metrics_overhead.sh`
-// guards the hot loops). Scopes nest: `DeadlineExpired()` honours the
+// compiles to ONE relaxed atomic load (`tools/check_bench.py` guards
+// the hot loops). Scopes nest: `DeadlineExpired()` honours the
 // tightest armed deadline and any cancelled token on the current
 // thread's scope chain. `ParallelFor` propagates the submitting thread's
 // chain onto pool helpers, so loop bodies running on workers observe the

@@ -364,8 +364,15 @@ Result<std::unique_ptr<SelectivityModel>> LoadPlanModel(
       std::string src;
       if (ls >> src) parts.source = src;
     } else if (tag == "popts") {
+      // Bounded, because every non-box estimate runs qmc samples per
+      // entry (or 2^d exact terms up to hmax): an unbounded record would
+      // let a plan file stall serving. 65536 is the largest sample count
+      // the QMC ablation sweeps; 20 is the VolumeOptions default.
+      constexpr int kMaxQmcSamples = 65536;
+      constexpr int kMaxHalfspaceExactDim = 20;
       int qmc = 0, hmax = 0;
-      if (!(ls >> qmc >> hmax) || qmc < 1 || hmax < 0) {
+      if (!(ls >> qmc >> hmax) || qmc < 1 || qmc > kMaxQmcSamples ||
+          hmax < 0 || hmax > kMaxHalfspaceExactDim) {
         return Status::IOError("malformed popts record in " + ctx.path);
       }
       parts.volume.qmc_samples = qmc;

@@ -25,6 +25,14 @@ double GateQError(double estimate, double truth) {
   return std::max(e / t, t / e);
 }
 
+/// Share of the window (its most recent records) held out for the
+/// publication gate; the candidate trains on the rest.
+constexpr double kGateHoldoutFraction = 0.25;
+/// Windows smaller than this train on everything and publish ungated.
+constexpr size_t kGateMinWindow = 16;
+/// Capacity of the last-good snapshot ring behind RollbackLastGood().
+constexpr size_t kRollbackRing = 4;
+
 double Median(std::vector<double> v) {
   SEL_CHECK(!v.empty());
   const size_t mid = v.size() / 2;
@@ -52,14 +60,6 @@ Status OnlineOptions::Validate() const {
   if (!(gate_factor >= 0.0) || !std::isfinite(gate_factor)) {
     return Status::InvalidArgument(
         "OnlineOptions: gate_factor must be finite and >= 0");
-  }
-  if (!(gate_holdout_fraction > 0.0 && gate_holdout_fraction <= 0.5)) {
-    return Status::InvalidArgument(
-        "OnlineOptions: gate_holdout_fraction must lie in (0, 0.5]");
-  }
-  if (rollback_ring == 0) {
-    return Status::InvalidArgument(
-        "OnlineOptions: rollback_ring must be positive");
   }
   auto spec = EstimatorSpec::Parse(estimator);
   SEL_RETURN_IF_ERROR(spec.status());
@@ -205,7 +205,7 @@ void OnlineEstimator::Publish(
     std::lock_guard<std::mutex> lock(state_mu_);
     state_ = next;
     last_good_.push_back(std::move(next));
-    while (last_good_.size() > options_.rollback_ring) {
+    while (last_good_.size() > kRollbackRing) {
       last_good_.pop_front();
     }
   }
@@ -226,12 +226,12 @@ Status OnlineEstimator::RetrainNow() {
     // everything and publish ungated (a handful of held-out records
     // would gate on noise).
     const bool gated = options_.gate_factor > 0.0 &&
-                       snapshot.size() >= options_.gate_min_window;
+                       snapshot.size() >= kGateMinWindow;
     size_t holdout_n = 0;
     if (gated) {
       holdout_n = std::max<size_t>(
           1, static_cast<size_t>(static_cast<double>(snapshot.size()) *
-                                 options_.gate_holdout_fraction));
+                                 kGateHoldoutFraction));
     }
     const Workload train(snapshot.begin(), snapshot.end() - holdout_n);
     const Workload holdout(snapshot.end() - holdout_n, snapshot.end());
@@ -249,10 +249,7 @@ Status OnlineEstimator::RetrainNow() {
     // the post-train check below rejects the degraded candidate — the
     // incumbent keeps serving. A failed lowering fails the Train, so it
     // counts as a failed retrain.
-    ScopedDeadline train_scope(options_.train_deadline_ms > 0
-                                   ? Deadline::AfterMillis(
-                                         options_.train_deadline_ms)
-                                   : TrainDeadlineFromEnv());
+    ScopedDeadline train_scope(TrainDeadlineFromEnv());
     SEL_RETURN_IF_ERROR(fresh.value()->Train(train));
     // The expensive lowering already happened inside Train, here on the
     // retrain thread; the publish below is a single pointer swap under

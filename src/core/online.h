@@ -61,20 +61,10 @@ struct OnlineOptions {
   /// Q-error on the held-out slice exceeds gate_factor × the incumbent's
   /// (floored at 1, the perfect score, so a sharp incumbent does not
   /// make the gate impossibly tight). 0 disables the gate.
+  /// The held-out slice is the most recent quarter of the window; the
+  /// candidate trains on the rest. Windows under 16 records train on
+  /// everything and publish ungated (a 4-record holdout gates on noise).
   double gate_factor = 4.0;
-  /// Fraction of the window (its most recent records) reserved as the
-  /// held-out slice the gate scores on; the candidate trains on the
-  /// rest. Must lie in (0, 0.5].
-  double gate_holdout_fraction = 0.25;
-  /// Windows smaller than this train on everything and publish ungated
-  /// (a 4-record holdout gates on noise).
-  size_t gate_min_window = 16;
-  /// Capacity of the last-good snapshot ring behind RollbackLastGood().
-  size_t rollback_ring = 4;
-  /// Per-retrain wall-clock budget in milliseconds; a retrain that blows
-  /// it keeps the incumbent (the degraded candidate is rejected). 0
-  /// defers to SEL_TRAIN_DEADLINE_MS.
-  long train_deadline_ms = 0;
 
   /// Checks the options a construction time instead of at the first
   /// retrain: prior_estimate in [0,1], positive capacities, and an

@@ -298,6 +298,29 @@ TEST(ModelIoTest, RejectsNonFiniteValuesAsIOError) {
   std::filesystem::remove(path);
 }
 
+TEST(ModelIoTest, RejectsOutOfRangePlanVolumeOptions) {
+  // Every non-box estimate runs popts' QMC samples per entry, so an
+  // unbounded record would stall serving: the loader caps both fields.
+  const std::string path = TempPath("sel_popts.model");
+  auto load_with_popts = [&path](const std::string& popts) {
+    std::ofstream out(path);
+    out << "selmodel 1 plan 2 1\n"
+        << "psrc quadhist\n"
+        << "popts " << popts << "\n"
+        << "pbox 0 0 1 1 1 1\n";
+    out.close();
+    return LoadModel(path);
+  };
+  EXPECT_TRUE(load_with_popts("65536 20").ok());
+  EXPECT_EQ(load_with_popts("65537 20").status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(load_with_popts("4096 21").status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(load_with_popts("2147483647 0").status().code(),
+            StatusCode::kIOError);
+  std::filesystem::remove(path);
+}
+
 TEST(ModelIoTest, RejectsInvalidSaves) {
   EXPECT_FALSE(SaveHistogramModel({}, {}, TempPath("x.model")).ok());
   EXPECT_FALSE(SavePointModel({{0.5}}, {0.5, 0.5},

@@ -163,13 +163,7 @@ TEST(OnlineTest, RejectsMalformedQueryFeedback) {
 
 TEST(OnlineTest, ValidatesGateOptions) {
   OnlineOptions opts;
-  opts.gate_holdout_fraction = 0.9;
-  EXPECT_FALSE(OnlineEstimator::Create(2, opts).ok());
-  opts = OnlineOptions{};
   opts.gate_factor = -1.0;
-  EXPECT_FALSE(OnlineEstimator::Create(2, opts).ok());
-  opts = OnlineOptions{};
-  opts.rollback_ring = 0;
   EXPECT_FALSE(OnlineEstimator::Create(2, opts).ok());
 }
 

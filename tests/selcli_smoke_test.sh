@@ -7,7 +7,17 @@ set -u
 
 SELCLI="${1:?usage: selcli_smoke_test.sh <path-to-selcli>}"
 WORKDIR="$(mktemp -d)"
-trap 'rm -rf "${WORKDIR}"' EXIT
+SERVE_PID=""
+# A step that fails while the background server runs must not leave it
+# behind.
+cleanup() {
+  if [ -n "${SERVE_PID}" ] && kill -0 "${SERVE_PID}" 2> /dev/null; then
+    kill -KILL "${SERVE_PID}" 2> /dev/null
+    wait "${SERVE_PID}" 2> /dev/null
+  fi
+  rm -rf "${WORKDIR}"
+}
+trap cleanup EXIT
 cd "${WORKDIR}"
 
 fail() {
@@ -146,6 +156,19 @@ est_plan="$("${SELCLI}" estimate quadhist.plan c0,c1,c2,c3,c4,c5,c6 \
 awk -v a="${est_model}" -v b="${est_plan}" \
   'BEGIN { d = a - b; if (d < 0) d = -d; exit !(d <= 1e-6) }' \
   || fail "plan estimate ${est_plan} != model estimate ${est_model}"
+
+# A plan whose volume options are out of range is a malformed record
+# (exit 10) at load time, not 2^31 QMC samples per entry on every
+# non-box estimate.
+grep -v '^#crc32 ' quadhist.plan \
+  | sed 's/^popts .*/popts 2147483647 0/' > hostile.plan
+run gen-workload data.csv 20 halfspace.csv halfspace data 7103
+timeout 10 "${SELCLI}" evaluate hostile.plan halfspace.csv > out.txt 2> err.txt
+rc=$?
+[ "${rc}" -eq 10 ] \
+  || fail "out-of-range popts should exit 10 (IOError), got ${rc}"
+grep -q "malformed popts record" err.txt \
+  || fail "out-of-range popts missing malformed-record error: $(cat err.txt)"
 
 # Compiling a non-lowerable model is Unimplemented (exit 8), not a crash.
 run train train.csv gmm_c.model gmm
