@@ -107,10 +107,6 @@ void ExtrapolateScalar(const double* w, const double* w_prev, double beta,
   for (size_t j = 0; j < n; ++j) y[j] = w[j] + beta * (w[j] - w_prev[j]);
 }
 
-void SubInplaceScalar(double* r, const double* s, size_t n) {
-  for (size_t j = 0; j < n; ++j) r[j] = r[j] - s[j];
-}
-
 void ShiftReluScalar(double* v, double tau, size_t n) {
   for (size_t j = 0; j < n; ++j) v[j] = MaxPd(v[j] - tau, 0.0);
 }
@@ -122,7 +118,7 @@ const SimdOps* GetScalarOps() {
       SimdLevel::kScalar,  BoxLeafSumScalar, PointLeafSumScalar,
       DotScalar,           SquaredNormScalar, SparseDotScalar,
       AxpyScalar,          AxpbyOutScalar,    ExtrapolateScalar,
-      SubInplaceScalar,    ShiftReluScalar,
+      ShiftReluScalar,
   };
   return &ops;
 }

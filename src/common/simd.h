@@ -153,8 +153,6 @@ struct SimdOps {
   /// y[i] = w[i] + beta * (w[i] - w_prev[i])  (FISTA extrapolation).
   void (*extrapolate)(const double* w, const double* w_prev, double beta,
                       double* y, size_t n);
-  /// r[i] -= s[i].
-  void (*sub_inplace)(double* r, const double* s, size_t n);
   /// v[i] = max(0, v[i] - tau)  (simplex-projection threshold).
   void (*shift_relu)(double* v, double tau, size_t n);
 };

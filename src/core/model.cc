@@ -261,13 +261,21 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
   // ---- Level 0: the requested solver, with one escalated retry. ----
   if (objective == TrainObjective::kL2) {
     const char* stage = primary_is_pg ? "l2pg" : "l2nnls";
-    if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, qp_options))) {
+    const auto primary = SolveSimplexLeastSquares(a, s, qp_options);
+    if (fb.Absorb(stage, primary)) {
       return fb.Accept(FallbackLevel::kPrimary);
     }
     SimplexLsqOptions escalated = qp_options;
     escalated.max_iterations *= kRetryBudgetFactor;
     ++stats->solver_retries;
-    if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, escalated))) {
+    // A projected-gradient primary that stopped at its cap hands over
+    // its iterate: the retry continues it rather than replaying the
+    // primary's iterations, with the same bits as a fresh 4x run.
+    const FistaState* resume = primary.ok() && primary.value().resume
+                                   ? &*primary.value().resume
+                                   : nullptr;
+    if (fb.Absorb(stage,
+                  SolveSimplexLeastSquares(a, s, escalated, resume))) {
       return fb.Accept(FallbackLevel::kPrimary);
     }
   } else {

@@ -139,11 +139,12 @@ Vector SelectivitiesOf(const Workload& workload);
 /// simplex and fills `stats` (loss, iterations, fallback trail).
 ///
 /// Never fails on solver trouble: a non-converged or failed primary
-/// solve is retried once with a 4x iteration budget, then degraded down
-/// the chain (L∞ LP → L2 projected gradient → NNLS polish of the best
-/// iterate → uniform simplex weights). The engaged stage is recorded in
-/// `stats->fallback_level` / `solver_status`; only malformed inputs
-/// (dimension mismatch, zero buckets) return an error.
+/// solve is retried once with a 4x iteration budget (projected gradient
+/// continues its primary's iterate, with the bits of a fresh 4x run),
+/// then degraded down the chain (L∞ LP → L2 projected gradient → NNLS
+/// polish of the best iterate → uniform simplex weights). The engaged
+/// stage is recorded in `stats->fallback_level` / `solver_status`; only
+/// malformed inputs (dimension mismatch, zero buckets) return an error.
 Result<Vector> SolveBucketWeights(const SparseMatrix& a, const Vector& s,
                                   TrainObjective objective,
                                   const SimplexLsqOptions& qp_options,

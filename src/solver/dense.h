@@ -7,6 +7,7 @@
 #ifndef SEL_SOLVER_DENSE_H_
 #define SEL_SOLVER_DENSE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -94,6 +95,23 @@ class DenseMatrix {
     return y;
   }
 
+  /// r = A x - b and, when `g` is not null, g = A^T r, in one pass over
+  /// the rows. Same bits as Apply, then r_i - b_i, then ApplyTranspose:
+  /// each r_i is the same row dot, and rows with r_i == 0 add nothing to g,
+  /// in row order. `r` holds rows() values, `g` cols().
+  void ResidualGradient(const double* x, const double* b, double* r,
+                        double* g) const {
+    SEL_METRIC_COUNTER_INC("simd.kernel.dense_matvec");
+    const SimdOps& ops = Simd();
+    const size_t n = static_cast<size_t>(cols_);
+    if (g != nullptr) std::fill(g, g + n, 0.0);
+    for (int i = 0; i < rows_; ++i) {
+      const double ri = ops.dot(row(i), x, n) - b[i];
+      r[i] = ri;
+      if (g != nullptr && ri != 0.0) ops.axpy(ri, row(i), g, n);
+    }
+  }
+
   /// Power-iteration memo for EstimateLipschitz (solver/qp.h).
   const LipschitzCache& lipschitz_cache() const { return lipschitz_cache_; }
 
@@ -112,9 +130,10 @@ inline double SquaredNorm(const Vector& v) {
 /// Residual r = A x - b.
 inline Vector Residual(const DenseMatrix& a, const Vector& x,
                        const Vector& b) {
-  Vector r = a.Apply(x);
-  SEL_CHECK(r.size() == b.size());
-  Simd().sub_inplace(r.data(), b.data(), r.size());
+  SEL_CHECK(static_cast<int>(x.size()) == a.cols());
+  SEL_CHECK(static_cast<int>(b.size()) == a.rows());
+  Vector r(b.size());
+  a.ResidualGradient(x.data(), b.data(), r.data(), nullptr);
   return r;
 }
 

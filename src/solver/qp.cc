@@ -52,7 +52,8 @@ double CachedLipschitz(const Matrix& a) {
 
 template <typename Matrix>
 Result<SimplexLsqResult> SolveByProjectedGradient(
-    const Matrix& a, const Vector& s, const SimplexLsqOptions& options) {
+    const Matrix& a, const Vector& s, const SimplexLsqOptions& options,
+    const FistaState* resume) {
   SEL_TRACE_SPAN("solver.qp.pg");
   SEL_METRIC_COUNTER_INC("solver.qp.pg.attempts");
   if (SEL_FAULT_POINT("qp.fail")) {
@@ -81,14 +82,27 @@ Result<SimplexLsqResult> SolveByProjectedGradient(
   const double lip = CachedLipschitz(a) + options.ridge;
   const double step = 1.0 / std::max(lip * 1.05, 1e-12);
 
-  Vector w(m, 1.0 / m);
-  Vector y = w;          // FISTA extrapolation point
-  Vector w_prev = w;
-  double t = 1.0;
-  double last_check_obj = std::numeric_limits<double>::infinity();
+  // A state within the budget is the one a fresh run reaches after
+  // resume->iterations steps, so continuing from it gives the same bits.
+  FistaState st;
+  if (resume != nullptr && resume->iterations <= max_iterations) {
+    st = *resume;
+  } else {
+    st.w.assign(m, 1.0 / m);
+    st.y = st.w;  // FISTA extrapolation point
+  }
+  Vector& w = st.w;
+  Vector& y = st.y;
+  Vector w_prev(m);
+  // Workspace: the residual, the gradient and the projection's order
+  // live for the whole solve, so no iteration allocates.
+  Vector r(static_cast<size_t>(a.rows()));
+  Vector g(m);
+  SimplexProjector projector;
   bool converged = false;
   bool deadline_hit = false;
-  int it = 0;
+  const int first_iteration = st.iterations;
+  int& it = st.iterations;
   for (; it < max_iterations; ++it) {
     // Cooperative cancellation: w is a projected (feasible) iterate at
     // every loop boundary, so stopping here returns a valid simplex
@@ -99,51 +113,57 @@ Result<SimplexLsqResult> SolveByProjectedGradient(
       break;
     }
     // gradient at y: A^T (A y - s) + ridge * y
-    Vector r = a.Apply(y);
-    ops.sub_inplace(r.data(), s.data(), r.size());
-    Vector g = a.ApplyTranspose(r);
+    a.ResidualGradient(y.data(), s.data(), r.data(), g.data());
     if (options.ridge > 0.0) {
       ops.axpy(options.ridge, y.data(), g.data(), static_cast<size_t>(m));
     }
-    w_prev = w;
+    // w_prev takes the old iterate; the new one overwrites all of w.
+    w_prev.swap(w);
     // w = y + (-step) * g, bit-identical to y[j] - step * g[j].
     ops.axpby_out(y.data(), -step, g.data(), w.data(),
                   static_cast<size_t>(m));
-    ProjectToSimplex(&w);
+    projector.Project(w.data(), static_cast<size_t>(m));
 
-    const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
-    const double beta = (t - 1.0) / t_next;
+    const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * st.t * st.t));
+    const double beta = (st.t - 1.0) / t_next;
     ops.extrapolate(w.data(), w_prev.data(), beta, y.data(),
                     static_cast<size_t>(m));
-    t = t_next;
+    st.t = t_next;
 
     if ((it + 1) % 10 == 0) {
-      const double obj = SquaredNorm(Residual(a, w, s)) +
-                         options.ridge * SquaredNorm(w);
-      if (obj <= last_check_obj &&
-          last_check_obj - obj <
-              options.tolerance * std::max(1.0, last_check_obj)) {
+      a.ResidualGradient(w.data(), s.data(), r.data(), nullptr);
+      const double obj = SquaredNorm(r) + options.ridge * SquaredNorm(w);
+      if (obj <= st.last_check_obj &&
+          st.last_check_obj - obj <
+              options.tolerance * std::max(1.0, st.last_check_obj)) {
         ++it;
         converged = true;
         break;
       }
-      if (obj > last_check_obj) {
+      if (obj > st.last_check_obj) {
         // FISTA momentum overshoot: restart the extrapolation.
         y = w;
-        t = 1.0;
+        st.t = 1.0;
       }
-      last_check_obj = std::min(last_check_obj, obj);
+      st.last_check_obj = std::min(st.last_check_obj, obj);
     }
   }
+  SEL_METRIC_COUNTER_ADD("solver.qp.pg.iterations_total",
+                         it - first_iteration);
 
   SimplexLsqResult out;
-  out.w = std::move(w);
-  out.loss = MeanSquaredResidual(a, out.w, s);
+  out.loss = MeanSquaredResidual(a, w, s);
   out.iterations = it;
   out.converged = converged;
   out.termination = converged     ? SolverTermination::kConverged
                     : deadline_hit ? SolverTermination::kDeadlineExceeded
                                    : SolverTermination::kIterationLimit;
+  if (out.termination == SolverTermination::kIterationLimit) {
+    out.w = w;
+    out.resume = std::move(st);
+  } else {
+    out.w = std::move(w);
+  }
   return out;
 }
 
@@ -206,7 +226,7 @@ Result<SimplexLsqResult> SolveSimplexLeastSquares(
   }
   switch (options.method) {
     case SimplexLsqOptions::Method::kProjectedGradient:
-      return SolveByProjectedGradient(a, s, options);
+      return SolveByProjectedGradient(a, s, options, nullptr);
     case SimplexLsqOptions::Method::kNnls:
       return SolveByNnls(a, s, options);
   }
@@ -215,7 +235,7 @@ Result<SimplexLsqResult> SolveSimplexLeastSquares(
 
 Result<SimplexLsqResult> SolveSimplexLeastSquares(
     const SparseMatrix& a, const Vector& s,
-    const SimplexLsqOptions& options) {
+    const SimplexLsqOptions& options, const FistaState* resume) {
   if (a.rows() != static_cast<int>(s.size())) {
     return Status::InvalidArgument(
         "SolveSimplexLeastSquares: rhs size does not match rows");
@@ -234,7 +254,7 @@ Result<SimplexLsqResult> SolveSimplexLeastSquares(
       return SolveByNnls(a.ToDense(), s, options);
     }
   }
-  return SolveByProjectedGradient(a, s, options);
+  return SolveByProjectedGradient(a, s, options, resume);
 }
 
 }  // namespace sel

@@ -50,6 +50,13 @@ class SparseMatrix {
   /// y = A^T x.
   Vector ApplyTranspose(const Vector& x) const;
 
+  /// r = A x - b and, when `g` is not null, g = A^T r, in one pass over
+  /// the rows. Same bits as Apply, then r_i - b_i, then ApplyTranspose:
+  /// each r_i is the same row dot, and rows with r_i == 0 scatter nothing
+  /// into g, in row order. `r` holds rows() values, `g` cols().
+  void ResidualGradient(const double* x, const double* b, double* r,
+                        double* g) const;
+
   /// Dense copy (for tests and small NNLS fallback).
   DenseMatrix ToDense() const;
 
@@ -152,6 +159,24 @@ inline Vector SparseMatrix::ApplyTranspose(const Vector& x) const {
   return y;
 }
 
+inline void SparseMatrix::ResidualGradient(const double* x, const double* b,
+                                           double* r, double* g) const {
+  SEL_METRIC_COUNTER_INC("simd.kernel.sparse_matvec");
+  const SimdOps& ops = Simd();
+  if (g != nullptr) std::fill(g, g + cols_, 0.0);
+  for (int i = 0; i < rows_; ++i) {
+    const int32_t* cols = RowCols(i);
+    const double* vals = RowVals(i);
+    const size_t n = RowSize(i);
+    const double ri = ops.sparse_dot(cols, vals, n, x) - b[i];
+    r[i] = ri;
+    if (g == nullptr || ri == 0.0) continue;
+    for (size_t k = 0; k < n; ++k) {
+      g[cols[k]] += vals[k] * ri;
+    }
+  }
+}
+
 inline DenseMatrix SparseMatrix::ToDense() const {
   DenseMatrix d(rows_, cols_);
   for (int i = 0; i < rows_; ++i) {
@@ -168,9 +193,10 @@ inline DenseMatrix SparseMatrix::ToDense() const {
 /// Residual r = A x - b for sparse A.
 inline Vector Residual(const SparseMatrix& a, const Vector& x,
                        const Vector& b) {
-  Vector r = a.Apply(x);
-  SEL_CHECK(r.size() == b.size());
-  Simd().sub_inplace(r.data(), b.data(), r.size());
+  SEL_CHECK(static_cast<int>(x.size()) == a.cols());
+  SEL_CHECK(static_cast<int>(b.size()) == a.rows());
+  Vector r(b.size());
+  a.ResidualGradient(x.data(), b.data(), r.data(), nullptr);
   return r;
 }
 

@@ -3,11 +3,16 @@
 // Rather than pinning outputs, these assert the algebraic contract on
 // hundreds of seeded random inputs: the output lies on the simplex, the
 // map is idempotent, permutation-equivariant, and optimal (no feasible
-// point is closer to the input).
+// point is closer to the input). The warm-order SimplexProjector the
+// solver uses is checked bit for bit against a cold sort-everything
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -125,6 +130,107 @@ TEST(SimplexProjectionProperty, FeasibleInputIsAFixedPoint) {
     for (size_t i = 0; i < w.size(); ++i) {
       ASSERT_NEAR(proj[i], w[i], 1e-9);
     }
+  }
+}
+
+// The projection as a cold sort of every coordinate (Duchi et al.),
+// with the threshold applied as maxpd does: x - tau if it is greater
+// than 0, else +0.
+Vector ColdProjection(Vector v, double total = 1.0) {
+  Vector sorted = v;
+  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+  double cumsum = 0.0;
+  double tau = 0.0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    cumsum += sorted[i];
+    const double t = (cumsum - total) / static_cast<double>(i + 1);
+    if (sorted[i] - t > 0.0) tau = t;
+  }
+  for (double& x : v) x = x - tau > 0.0 ? x - tau : 0.0;
+  return v;
+}
+
+/// Projects `v` with the warm projector and the cold reference and
+/// requires the same bits, signed zeros included.
+void ExpectSameBits(SimplexProjector* warm, const Vector& v,
+                    const char* what, double total = 1.0) {
+  Vector got = v;
+  warm->Project(got.data(), got.size(), total);
+  const Vector want = ColdProjection(v, total);
+  for (size_t i = 0; i < v.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+              std::bit_cast<uint64_t>(want[i]))
+        << what << ": n=" << v.size() << " i=" << i << " got " << got[i]
+        << " want " << want[i];
+  }
+}
+
+TEST(SimplexProjectorDifferential, PerturbedSequencesMatchColdSort) {
+  // Successive small perturbations keep most of the order, as FISTA's
+  // iterates do; larger ones churn it. One projector serves the whole
+  // sequence, so every call after the first starts from a warm order.
+  Rng rng(606);
+  for (const int n : {1, 2, 3, 7, 16, 64, 192, 700}) {
+    for (const double jitter : {1e-6, 1e-3, 0.5}) {
+      SimplexProjector warm;
+      Vector v = RandomInput(&rng, n, 1.0);
+      for (int step = 0; step < 40; ++step) {
+        ExpectSameBits(&warm, v, "perturbed");
+        for (double& x : v) x += rng.Uniform(-jitter, jitter);
+      }
+    }
+  }
+}
+
+TEST(SimplexProjectorDifferential, TiesAndSignedZerosMatchColdSort) {
+  Rng rng(707);
+  SimplexProjector warm;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng.Uniform(0.0, 50.0));
+    // Few distinct values, so most coordinates tie; +0.0 and -0.0 mix.
+    const double levels[] = {-0.0, 0.0, 0.25, -0.25, 0.5, 1.0, 1e-300};
+    Vector v(n);
+    for (double& x : v) x = levels[rng.UniformInt(7)];
+    ExpectSameBits(&warm, v, "ties", trial % 4 == 0 ? 0.5 : 1.0);
+  }
+}
+
+TEST(SimplexProjectorDifferential, AllEqualVectorsMatchColdSort) {
+  SimplexProjector warm;
+  for (const int n : {1, 5, 33, 200}) {
+    for (const double c : {0.0, -0.0, -3.0, 1.0 / 3.0, 7.5}) {
+      ExpectSameBits(&warm, Vector(n, c), "all-equal");
+    }
+  }
+}
+
+TEST(SimplexProjectorDifferential, ReversedOrderTakesTheFullSort) {
+  // An ascending vector after a descending one leaves the warm order
+  // fully reversed: insertion would need n(n-1)/2 shifts, past the
+  // n*log2(n) budget for every n >= 8, so the projector re-sorts.
+  Rng rng(808);
+  for (const int n : {2, 8, 9, 64, 500}) {
+    SimplexProjector warm;
+    Vector v(n);
+    for (int i = 0; i < n; ++i) v[i] = 1.0 - i / static_cast<double>(n);
+    ExpectSameBits(&warm, v, "descending");
+    std::reverse(v.begin(), v.end());
+    ExpectSameBits(&warm, v, "reversed");
+    std::reverse(v.begin(), v.end());
+    ExpectSameBits(&warm, v, "reversed back");
+    // A random shuffle in between: neither order nor its reverse.
+    for (size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[rng.UniformInt(i)]);
+    }
+    ExpectSameBits(&warm, v, "shuffled");
+  }
+}
+
+TEST(SimplexProjectorDifferential, LengthChangeStartsAFreshOrder) {
+  Rng rng(909);
+  SimplexProjector warm;
+  for (const int n : {10, 3, 10, 40, 1}) {
+    ExpectSameBits(&warm, RandomInput(&rng, n, 2.0), "resized");
   }
 }
 

@@ -3,7 +3,9 @@
 // two-phase simplex LP, and the §4.6 Chebyshev (L∞) fit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "geometry/point.h"
@@ -65,6 +67,55 @@ TEST(SparseMatrixTest, ApplyMatchesDense) {
   const Vector aty1 = sp.ApplyTranspose(y), aty2 = de.ApplyTranspose(y);
   for (int i = 0; i < rows; ++i) EXPECT_NEAR(ax1[i], ax2[i], 1e-12);
   for (int j = 0; j < cols; ++j) EXPECT_NEAR(aty1[j], aty2[j], 1e-12);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// The solver's one-pass gradient must give the bits of the three-pass
+// form it replaced, r = Apply(x) - b then g = ApplyTranspose(r), on both
+// matrix types, including rows whose residual is exactly zero (skipped).
+TEST(SparseMatrixTest, ResidualGradientMatchesThreePassForm) {
+  Rng rng(22);
+  std::vector<Triplet> t;
+  const int rows = 29, cols = 41;
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      if (rng.NextDouble() < 0.4) {
+        t.push_back({i, j, rng.Uniform(-1.0, 1.0)});
+      }
+    }
+  }
+  const auto sp = SparseMatrix::FromTriplets(rows, cols, t);
+  const auto de = sp.ToDense();
+  Vector x(cols);
+  for (auto& v : x) v = rng.Uniform(-1.0, 1.0);
+  for (const bool dense : {false, true}) {
+    Vector b = dense ? de.Apply(x) : sp.Apply(x);
+    for (int i = 0; i < rows; i += 3) b[i] += rng.Uniform(-1.0, 1.0);
+    Vector r = dense ? de.Apply(x) : sp.Apply(x);
+    for (int i = 0; i < rows; ++i) r[i] = r[i] - b[i];
+    const Vector g = dense ? de.ApplyTranspose(r) : sp.ApplyTranspose(r);
+
+    Vector r1(rows, -1.0), g1(cols, -1.0), r2(rows, -1.0);
+    if (dense) {
+      de.ResidualGradient(x.data(), b.data(), r1.data(), g1.data());
+      de.ResidualGradient(x.data(), b.data(), r2.data(), nullptr);
+    } else {
+      sp.ResidualGradient(x.data(), b.data(), r1.data(), g1.data());
+      sp.ResidualGradient(x.data(), b.data(), r2.data(), nullptr);
+    }
+    int zero_rows = 0;
+    for (int i = 0; i < rows; ++i) {
+      zero_rows += r[i] == 0.0;
+      EXPECT_EQ(Bits(r1[i]), Bits(r[i]));
+      EXPECT_EQ(Bits(r2[i]), Bits(r[i]));
+    }
+    EXPECT_GT(zero_rows, 0) << "no row exercised the zero-residual skip";
+    for (int j = 0; j < cols; ++j) {
+      EXPECT_EQ(Bits(g1[j]), Bits(g[j]))
+          << (dense ? "dense" : "sparse") << " column " << j;
+    }
+  }
 }
 
 TEST(SparseMatrixTest, FromRowsLayout) {
