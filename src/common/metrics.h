@@ -3,7 +3,7 @@
 //
 // Library code plants named instruments on its hot and failure paths:
 //
-//   SEL_METRIC_COUNTER_INC("solver.retries_total");
+//   SEL_METRIC_COUNTER_INC("solver.qp.pg.attempts");
 //   SEL_METRIC_GAUGE_SET("pool.queue_depth", depth);
 //   SEL_METRIC_HIST_RECORD("predict.query_us", elapsed_us);
 //

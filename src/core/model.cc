@@ -111,10 +111,6 @@ Vector SelectivitiesOf(const Workload& workload) {
 
 namespace {
 
-/// Escalation factor for the single same-solver retry after a
-/// non-converged primary attempt.
-constexpr int kRetryBudgetFactor = 4;
-
 /// State threaded through the fallback chain: the best feasible iterate
 /// seen so far (converged or not) and the running per-stage trail.
 struct FallbackState {
@@ -192,9 +188,6 @@ void RecordSolveMetrics(const TrainStats& stats) {
   if (stats.fallback_level > 0) {
     m.GetCounter("solver.fallback_total").Increment();
   }
-  if (stats.solver_retries > 0) {
-    m.GetCounter("solver.retries_total").Increment(stats.solver_retries);
-  }
   if (!stats.converged) {
     m.GetCounter("solver.nonconverged_total").Increment();
   }
@@ -248,7 +241,6 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
   }
 
   stats->fallback_level = 0;
-  stats->solver_retries = 0;
   stats->converged = true;
   stats->solver_status.clear();
 
@@ -258,24 +250,10 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
       objective == TrainObjective::kL2 &&
       qp_options.method == SimplexLsqOptions::Method::kProjectedGradient;
 
-  // ---- Level 0: the requested solver, with one escalated retry. ----
+  // ---- Level 0: the requested solver, run once at its full budget. ----
   if (objective == TrainObjective::kL2) {
     const char* stage = primary_is_pg ? "l2pg" : "l2nnls";
-    const auto primary = SolveSimplexLeastSquares(a, s, qp_options);
-    if (fb.Absorb(stage, primary)) {
-      return fb.Accept(FallbackLevel::kPrimary);
-    }
-    SimplexLsqOptions escalated = qp_options;
-    escalated.max_iterations *= kRetryBudgetFactor;
-    ++stats->solver_retries;
-    // A projected-gradient primary that stopped at its cap hands over
-    // its iterate: the retry continues it rather than replaying the
-    // primary's iterations, with the same bits as a fresh 4x run.
-    const FistaState* resume = primary.ok() && primary.value().resume
-                                   ? &*primary.value().resume
-                                   : nullptr;
-    if (fb.Absorb(stage,
-                  SolveSimplexLeastSquares(a, s, escalated, resume))) {
+    if (fb.Absorb(stage, SolveSimplexLeastSquares(a, s, qp_options))) {
       return fb.Accept(FallbackLevel::kPrimary);
     }
   } else {
@@ -289,23 +267,6 @@ Result<Vector> SolveBucketWeightsImpl(const SparseMatrix& a,
       return std::move(lp.value());
     }
     fb.Note("linf", lp.status().ToString());
-    // Only an iteration-limit exit can profit from a bigger budget;
-    // infeasible/unbounded degrade immediately.
-    if (lp.status().code() == StatusCode::kNotConverged) {
-      LpOptions escalated = lp_options;
-      escalated.max_iterations *= kRetryBudgetFactor;
-      ++stats->solver_retries;
-      auto retry = SolveSimplexChebyshev(a.ToDense(), s, escalated);
-      if (retry.ok()) {
-        fb.Note("linf", "optimal");
-        stats->fallback_level = static_cast<int>(FallbackLevel::kPrimary);
-        stats->converged = true;
-        stats->train_loss = MeanSquaredResidual(a, retry.value(), s);
-        stats->solver_iterations = 0;
-        return std::move(retry.value());
-      }
-      fb.Note("linf", retry.status().ToString());
-    }
   }
 
   // ---- Level 1: L2 projected gradient (skipped when it already ran as

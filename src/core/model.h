@@ -31,7 +31,7 @@ enum class TrainObjective { kL2, kLinf };
 /// How far the graceful-degradation chain of SolveBucketWeights had to
 /// fall before producing weights. Level 0 is the clean path.
 enum class FallbackLevel : int {
-  kPrimary = 0,      ///< requested solver converged (possibly on retry)
+  kPrimary = 0,      ///< requested solver converged
   kL2Gradient = 1,   ///< degraded to L2 projected gradient
   kNnlsPolish = 2,   ///< NNLS polish / best non-converged iterate
   kUniform = 3,      ///< uniform simplex weights, the floor
@@ -43,10 +43,9 @@ struct TrainStats {
   double train_loss = 0.0;        ///< Mean squared loss on the training set.
   int solver_iterations = 0;      ///< Iterations of the accepted solve.
   int fallback_level = 0;         ///< FallbackLevel of the accepted stage.
-  int solver_retries = 0;         ///< Escalated-budget retries taken.
   bool converged = true;          ///< Accepted solve met its criterion.
-  /// Per-stage trail, e.g. "linf:NotConverged;linf:NotConverged;
-  /// l2pg:converged" — one entry per solver attempt, in order.
+  /// Per-stage trail, e.g. "linf:NotConverged;l2pg:converged" — one
+  /// entry per solver attempt, in order.
   std::string solver_status;
 };
 
@@ -138,13 +137,12 @@ Vector SelectivitiesOf(const Workload& workload);
 /// kL2 (QP), the Chebyshev LP of §4.6 for kLinf. Returns weights on the
 /// simplex and fills `stats` (loss, iterations, fallback trail).
 ///
-/// Never fails on solver trouble: a non-converged or failed primary
-/// solve is retried once with a 4x iteration budget (projected gradient
-/// continues its primary's iterate, with the bits of a fresh 4x run),
-/// then degraded down the chain (L∞ LP → L2 projected gradient → NNLS
-/// polish of the best iterate → uniform simplex weights). The engaged
-/// stage is recorded in `stats->fallback_level` / `solver_status`; only
-/// malformed inputs (dimension mismatch, zero buckets) return an error.
+/// Never fails on solver trouble: each level runs its solver once, at
+/// its full budget, and a non-converged or failed solve degrades down
+/// the chain (L∞ LP → L2 projected gradient → NNLS polish of the best
+/// iterate → uniform simplex weights). The engaged stage is recorded in
+/// `stats->fallback_level` / `solver_status`; only malformed inputs
+/// (dimension mismatch, zero buckets) return an error.
 Result<Vector> SolveBucketWeights(const SparseMatrix& a, const Vector& s,
                                   TrainObjective objective,
                                   const SimplexLsqOptions& qp_options,

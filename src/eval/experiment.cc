@@ -25,7 +25,6 @@ EvalCell TrainAndEvaluate(SelectivityModel* model, const Workload& train,
   cell.train_loss = model->train_stats().train_loss;
   cell.solver_iterations = model->train_stats().solver_iterations;
   cell.fallback_level = model->train_stats().fallback_level;
-  cell.solver_retries = model->train_stats().solver_retries;
   cell.converged = model->train_stats().converged;
   cell.solver_status = model->train_stats().solver_status;
   cell.serve_path = model->shared_plan() != nullptr ? "plan" : "virtual";

@@ -26,7 +26,6 @@ struct EvalCell {
   double p95_predict_us = 0.0; ///< 95th-pct per-query predict latency (µs)
   int solver_iterations = 0;   ///< TrainStats::solver_iterations of the run
   int fallback_level = 0;      ///< TrainStats::fallback_level of the run
-  int solver_retries = 0;      ///< escalated-budget retries taken
   bool converged = true;       ///< accepted solve met its criterion
   std::string solver_status;   ///< per-stage solver trail (TrainStats)
   std::string serve_path = "virtual";  ///< "plan" iff scored via CompiledPlan

@@ -8,7 +8,6 @@
 #define SEL_SOLVER_DENSE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "common/check.h"
@@ -18,29 +17,6 @@
 namespace sel {
 
 using Vector = std::vector<double>;
-
-/// Memoized power-iteration Lipschitz estimate (largest eigenvalue of
-/// A^T A), carried by the matrix so the FISTA solver does not re-run
-/// the estimation on every degradation-chain retry over the same A
-/// (see SolveBucketWeights). Negative means "not yet estimated".
-/// Mutation of a matrix after a solve is not a pattern in this codebase
-/// (matrices are assembled, then solved); copies carry the value along
-/// since the contents are copied with it.
-class LipschitzCache {
- public:
-  LipschitzCache() = default;
-  LipschitzCache(const LipschitzCache& other) : value_(other.Get()) {}
-  LipschitzCache& operator=(const LipschitzCache& other) {
-    value_.store(other.Get(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  double Get() const { return value_.load(std::memory_order_relaxed); }
-  void Set(double v) const { value_.store(v, std::memory_order_relaxed); }
-
- private:
-  mutable std::atomic<double> value_{-1.0};
-};
 
 /// Row-major dense matrix.
 class DenseMatrix {
@@ -112,14 +88,10 @@ class DenseMatrix {
     }
   }
 
-  /// Power-iteration memo for EstimateLipschitz (solver/qp.h).
-  const LipschitzCache& lipschitz_cache() const { return lipschitz_cache_; }
-
  private:
   int rows_ = 0;
   int cols_ = 0;
   std::vector<double> data_;
-  LipschitzCache lipschitz_cache_;
 };
 
 /// Squared Euclidean norm (SIMD blocked reduction).

@@ -278,7 +278,7 @@ Result<Vector> SolveSimplexChebyshev(const DenseMatrix& a, const Vector& s,
         "Chebyshev LP hit the iteration limit (injected fault)");
   }
   // An already-blown deadline short-circuits before the O(n*m) tableau
-  // build; the chain's escalated retry would only re-expire instantly.
+  // build.
   if (DeadlineExpired()) {
     return Status::NotConverged("Chebyshev LP deadline expired before solve");
   }

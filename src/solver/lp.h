@@ -38,7 +38,7 @@ struct LpResult {
 
 /// Options for the simplex method.
 struct LpOptions {
-  int max_iterations = 20000;  ///< Pivot cap across both phases.
+  int max_iterations = 80000;  ///< Pivot cap across both phases.
   double tolerance = 1e-9;     ///< Feasibility/optimality tolerance.
 };
 

@@ -16,44 +16,12 @@ namespace sel {
 
 namespace {
 
-template <typename Matrix>
-double EstimateLipschitzT(const Matrix& a, int iterations) {
-  const int n = a.cols();
-  SEL_CHECK(n > 0);
-  Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  double lambda = 0.0;
-  for (int it = 0; it < iterations; ++it) {
-    Vector av = a.Apply(v);
-    Vector atav = a.ApplyTranspose(av);
-    const double norm = std::sqrt(SquaredNorm(atav));
-    if (norm < 1e-30) return 1.0;
-    lambda = norm;
-    for (int j = 0; j < n; ++j) v[j] = atav[j] / norm;
-  }
-  return lambda;
-}
+// Weight of the sum-to-one penalty row of the kNnls system.
+constexpr double kNnlsSumPenalty = 1e3;
 
-// Power-iteration estimate memoized on the matrix: the degradation
-// chain in SolveBucketWeights re-solves the SAME matrix several times
-// (escalated retry, L2 fallback), and the spectral norm does not change
-// between those attempts.
-template <typename Matrix>
-double CachedLipschitz(const Matrix& a) {
-  const double cached = a.lipschitz_cache().Get();
-  if (cached >= 0.0) {
-    SEL_METRIC_COUNTER_INC("solver.lipschitz.cache_hits_total");
-    return cached;
-  }
-  SEL_METRIC_COUNTER_INC("solver.lipschitz.estimates_total");
-  const double lip = EstimateLipschitzT(a, 50);
-  a.lipschitz_cache().Set(lip);
-  return lip;
-}
-
-template <typename Matrix>
 Result<SimplexLsqResult> SolveByProjectedGradient(
-    const Matrix& a, const Vector& s, const SimplexLsqOptions& options,
-    const FistaState* resume) {
+    const SparseMatrix& a, const Vector& s,
+    const SimplexLsqOptions& options) {
   SEL_TRACE_SPAN("solver.qp.pg");
   SEL_METRIC_COUNTER_INC("solver.qp.pg.attempts");
   if (SEL_FAULT_POINT("qp.fail")) {
@@ -79,30 +47,22 @@ Result<SimplexLsqResult> SolveByProjectedGradient(
     return out;
   }
   const SimdOps& ops = Simd();
-  const double lip = CachedLipschitz(a) + options.ridge;
+  const double lip = EstimateLipschitz(a) + options.ridge;
   const double step = 1.0 / std::max(lip * 1.05, 1e-12);
 
-  // A state within the budget is the one a fresh run reaches after
-  // resume->iterations steps, so continuing from it gives the same bits.
-  FistaState st;
-  if (resume != nullptr && resume->iterations <= max_iterations) {
-    st = *resume;
-  } else {
-    st.w.assign(m, 1.0 / m);
-    st.y = st.w;  // FISTA extrapolation point
-  }
-  Vector& w = st.w;
-  Vector& y = st.y;
+  Vector w(m, 1.0 / m);
+  Vector y = w;  // FISTA extrapolation point
   Vector w_prev(m);
   // Workspace: the residual, the gradient and the projection's order
   // live for the whole solve, so no iteration allocates.
   Vector r(static_cast<size_t>(a.rows()));
   Vector g(m);
   SimplexProjector projector;
+  double t = 1.0;
+  double last_check_obj = std::numeric_limits<double>::infinity();
   bool converged = false;
   bool deadline_hit = false;
-  const int first_iteration = st.iterations;
-  int& it = st.iterations;
+  int it = 0;
   for (; it < max_iterations; ++it) {
     // Cooperative cancellation: w is a projected (feasible) iterate at
     // every loop boundary, so stopping here returns a valid simplex
@@ -124,51 +84,44 @@ Result<SimplexLsqResult> SolveByProjectedGradient(
                   static_cast<size_t>(m));
     projector.Project(w.data(), static_cast<size_t>(m));
 
-    const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * st.t * st.t));
-    const double beta = (st.t - 1.0) / t_next;
+    const double t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t * t));
+    const double beta = (t - 1.0) / t_next;
     ops.extrapolate(w.data(), w_prev.data(), beta, y.data(),
                     static_cast<size_t>(m));
-    st.t = t_next;
+    t = t_next;
 
     if ((it + 1) % 10 == 0) {
       a.ResidualGradient(w.data(), s.data(), r.data(), nullptr);
       const double obj = SquaredNorm(r) + options.ridge * SquaredNorm(w);
-      if (obj <= st.last_check_obj &&
-          st.last_check_obj - obj <
-              options.tolerance * std::max(1.0, st.last_check_obj)) {
+      if (obj <= last_check_obj &&
+          last_check_obj - obj <
+              options.tolerance * std::max(1.0, last_check_obj)) {
         ++it;
         converged = true;
         break;
       }
-      if (obj > st.last_check_obj) {
+      if (obj > last_check_obj) {
         // FISTA momentum overshoot: restart the extrapolation.
         y = w;
-        st.t = 1.0;
+        t = 1.0;
       }
-      st.last_check_obj = std::min(st.last_check_obj, obj);
+      last_check_obj = std::min(last_check_obj, obj);
     }
   }
-  SEL_METRIC_COUNTER_ADD("solver.qp.pg.iterations_total",
-                         it - first_iteration);
+  SEL_METRIC_COUNTER_ADD("solver.qp.pg.iterations_total", it);
 
   SimplexLsqResult out;
   out.loss = MeanSquaredResidual(a, w, s);
+  out.w = std::move(w);
   out.iterations = it;
   out.converged = converged;
   out.termination = converged     ? SolverTermination::kConverged
                     : deadline_hit ? SolverTermination::kDeadlineExceeded
                                    : SolverTermination::kIterationLimit;
-  if (out.termination == SolverTermination::kIterationLimit) {
-    out.w = w;
-    out.resume = std::move(st);
-  } else {
-    out.w = std::move(w);
-  }
   return out;
 }
 
-Result<SimplexLsqResult> SolveByNnls(const DenseMatrix& a, const Vector& s,
-                                     const SimplexLsqOptions& options) {
+Result<SimplexLsqResult> SolveByNnls(const DenseMatrix& a, const Vector& s) {
   SEL_TRACE_SPAN("solver.qp.nnls");
   SEL_METRIC_COUNTER_INC("solver.qp.nnls.attempts");
   const int n = a.rows();
@@ -180,8 +133,8 @@ Result<SimplexLsqResult> SolveByNnls(const DenseMatrix& a, const Vector& s,
     for (int j = 0; j < m; ++j) aug.at(i, j) = a.at(i, j);
     rhs[i] = s[i];
   }
-  for (int j = 0; j < m; ++j) aug.at(n, j) = options.nnls_sum_penalty;
-  rhs[n] = options.nnls_sum_penalty;
+  for (int j = 0; j < m; ++j) aug.at(n, j) = kNnlsSumPenalty;
+  rhs[n] = kNnlsSumPenalty;
 
   auto nnls = SolveNnls(aug, rhs);
   if (!nnls.ok()) return nnls.status();
@@ -205,37 +158,25 @@ Result<SimplexLsqResult> SolveByNnls(const DenseMatrix& a, const Vector& s,
 
 }  // namespace
 
-double EstimateLipschitz(const DenseMatrix& a, int iterations) {
-  return EstimateLipschitzT(a, iterations);
-}
-
 double EstimateLipschitz(const SparseMatrix& a, int iterations) {
-  return EstimateLipschitzT(a, iterations);
-}
-
-Result<SimplexLsqResult> SolveSimplexLeastSquares(
-    const DenseMatrix& a, const Vector& s,
-    const SimplexLsqOptions& options) {
-  if (a.rows() != static_cast<int>(s.size())) {
-    return Status::InvalidArgument(
-        "SolveSimplexLeastSquares: rhs size does not match rows");
+  const int n = a.cols();
+  SEL_CHECK(n > 0);
+  Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  double lambda = 0.0;
+  for (int it = 0; it < iterations; ++it) {
+    Vector av = a.Apply(v);
+    Vector atav = a.ApplyTranspose(av);
+    const double norm = std::sqrt(SquaredNorm(atav));
+    if (norm < 1e-30) return 1.0;
+    lambda = norm;
+    for (int j = 0; j < n; ++j) v[j] = atav[j] / norm;
   }
-  if (a.cols() == 0) {
-    return Status::InvalidArgument(
-        "SolveSimplexLeastSquares: no buckets (zero columns)");
-  }
-  switch (options.method) {
-    case SimplexLsqOptions::Method::kProjectedGradient:
-      return SolveByProjectedGradient(a, s, options, nullptr);
-    case SimplexLsqOptions::Method::kNnls:
-      return SolveByNnls(a, s, options);
-  }
-  return Status::Internal("unknown method");
+  return lambda;
 }
 
 Result<SimplexLsqResult> SolveSimplexLeastSquares(
     const SparseMatrix& a, const Vector& s,
-    const SimplexLsqOptions& options, const FistaState* resume) {
+    const SimplexLsqOptions& options) {
   if (a.rows() != static_cast<int>(s.size())) {
     return Status::InvalidArgument(
         "SolveSimplexLeastSquares: rhs size does not match rows");
@@ -251,10 +192,10 @@ Result<SimplexLsqResult> SolveSimplexLeastSquares(
     const size_t cells =
         static_cast<size_t>(a.rows() + 1) * static_cast<size_t>(a.cols());
     if (cells <= (4u << 20)) {
-      return SolveByNnls(a.ToDense(), s, options);
+      return SolveByNnls(a.ToDense(), s);
     }
   }
-  return SolveByProjectedGradient(a, s, options, resume);
+  return SolveByProjectedGradient(a, s, options);
 }
 
 }  // namespace sel

@@ -66,16 +66,12 @@ class SparseMatrix {
   const double* RowVals(int i) const { return vals_.data() + row_ptr_[i]; }
   size_t RowSize(int i) const { return row_ptr_[i + 1] - row_ptr_[i]; }
 
-  /// Power-iteration memo for EstimateLipschitz (solver/qp.h).
-  const LipschitzCache& lipschitz_cache() const { return lipschitz_cache_; }
-
  private:
   int rows_ = 0;
   int cols_ = 0;
   std::vector<size_t> row_ptr_;
   std::vector<int32_t> cols_idx_;
   std::vector<double> vals_;
-  LipschitzCache lipschitz_cache_;
 
   void Finalize(std::vector<Triplet> triplets);
 };

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/deadline.h"
 #include "common/thread_pool.h"
@@ -32,16 +34,17 @@ void ExpectOnSimplex(const Vector& w) {
 }
 
 /// A small but non-trivial least-squares system (n x m, deterministic).
-DenseMatrix TestMatrix(int n, int m) {
-  DenseMatrix a(n, m);
+SparseMatrix TestMatrix(int n, int m) {
+  std::vector<Triplet> t;
   uint64_t state = 12345;
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < m; ++j) {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      a.at(i, j) = static_cast<double>((state >> 33) & 0xFFFF) / 65535.0;
+      t.push_back(
+          {i, j, static_cast<double>((state >> 33) & 0xFFFF) / 65535.0});
     }
   }
-  return a;
+  return SparseMatrix::FromTriplets(n, m, std::move(t));
 }
 
 TEST(DeadlineTest, ValueSemanticsAndMonotoneExpiry) {
@@ -144,7 +147,7 @@ TEST(DeadlineTest, NoneTokenIsInert) {
 }
 
 TEST(DeadlineTest, ExpiredBudgetShortCircuitsFistaBeforeFirstIteration) {
-  const DenseMatrix a = TestMatrix(20, 8);
+  const SparseMatrix a = TestMatrix(20, 8);
   Vector s(20, 0.3);
   ScopedDeadline scope(Deadline::AfterMillis(0));
   auto result = SolveSimplexLeastSquares(a, s);
@@ -159,7 +162,7 @@ TEST(DeadlineTest, ExpiredBudgetShortCircuitsFistaBeforeFirstIteration) {
 }
 
 TEST(DeadlineTest, ExpiredBudgetShortCircuitsNnlsFeasibly) {
-  const DenseMatrix a = TestMatrix(16, 6);
+  const DenseMatrix a = TestMatrix(16, 6).ToDense();
   Vector b(16, 0.5);
   ScopedDeadline scope(Deadline::AfterMillis(0));
   auto result = SolveNnls(a, b);
@@ -172,7 +175,7 @@ TEST(DeadlineTest, ExpiredBudgetShortCircuitsNnlsFeasibly) {
 }
 
 TEST(DeadlineTest, ExpiredBudgetFailsChebyshevLpAsNotConverged) {
-  const DenseMatrix a = TestMatrix(12, 5);
+  const DenseMatrix a = TestMatrix(12, 5).ToDense();
   Vector s(12, 0.4);
   ScopedDeadline scope(Deadline::AfterMillis(0));
   auto result = SolveSimplexChebyshev(a, s);
@@ -183,7 +186,7 @@ TEST(DeadlineTest, ExpiredBudgetFailsChebyshevLpAsNotConverged) {
 TEST(DeadlineTest, BestIterateStaysOnSimplexUnderTinyBudget) {
   // A budget that may expire anywhere mid-solve: whatever iterate comes
   // back must still be a valid simplex point (the chain's invariant).
-  const DenseMatrix a = TestMatrix(120, 60);
+  const SparseMatrix a = TestMatrix(120, 60);
   Vector s(120);
   for (int i = 0; i < 120; ++i) s[i] = 0.5 * (1.0 + std::sin(i * 0.7));
   SimplexLsqOptions options;

@@ -1,18 +1,15 @@
 // Fault-injection and graceful-degradation tests: the FaultRegistry
 // mechanics, the SolveBucketWeights fallback chain engaging level by
-// level, escalated-budget retries (continuing the primary's iterate with
-// the bits of a fresh run), end-to-end Train() survival, the
+// level with one solver run per level, end-to-end Train() survival, the
 // OnlineEstimator serving-path degradation, and the IO fault sites.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 
-#include "common/deadline.h"
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "core/estimator_registry.h"
@@ -155,7 +152,6 @@ TEST(FallbackChainTest, UnarmedPathMatchesDirectSolverBitForBit) {
     EXPECT_EQ(chained.value()[j], direct.value().w[j]);
   }
   EXPECT_EQ(stats.fallback_level, 0);
-  EXPECT_EQ(stats.solver_retries, 0);
   EXPECT_TRUE(stats.converged);
 }
 
@@ -177,21 +173,41 @@ TEST(FallbackChainTest, MalformedInputsFailFastWithoutFallback) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(FallbackChainTest, EscalatedRetryRecoversFromIterationLimit) {
+TEST(FallbackChainTest, L2IterationLimitDegradesWithoutRetry) {
   FaultGuard guard;
-  // Fire only on the first attempt: the x4-budget retry runs clean.
+  // Fire on the first hit only: a second projected-gradient run would
+  // go clean, but the chain does not make one.
   FaultRegistry::Global().Arm("qp.force_iteration_limit", 1);
   TinyProblem p;
   TrainStats stats;
   auto w = SolveBucketWeights(p.a, p.s, TrainObjective::kL2,
                               SimplexLsqOptions{}, LpOptions{}, &stats);
   ASSERT_TRUE(w.ok());
-  EXPECT_EQ(stats.fallback_level, 0);
-  EXPECT_EQ(stats.solver_retries, 1);
-  EXPECT_TRUE(stats.converged);
-  EXPECT_NE(stats.solver_status.find("iteration_limit"),
-            std::string::npos);
-  EXPECT_NE(stats.solver_status.find("converged"), std::string::npos);
+  EXPECT_EQ(stats.fallback_level,
+            static_cast<int>(FallbackLevel::kNnlsPolish));
+  EXPECT_EQ(FaultRegistry::Global().HitCount("qp.force_iteration_limit"),
+            1u);
+  EXPECT_EQ(stats.solver_status.rfind("l2pg:iteration_limit;nnls_polish:",
+                                      0),
+            0u);
+  EXPECT_EQ(stats.solver_status.find("l2pg:"),
+            stats.solver_status.rfind("l2pg:"));
+}
+
+TEST(FallbackChainTest, LinfIterationLimitDegradesWithoutRetry) {
+  FaultGuard guard;
+  FaultRegistry::Global().Arm("lp.force_iteration_limit", 1);
+  TinyProblem p;
+  TrainStats stats;
+  auto w = SolveBucketWeights(p.a, p.s, TrainObjective::kLinf,
+                              SimplexLsqOptions{}, LpOptions{}, &stats);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(stats.fallback_level,
+            static_cast<int>(FallbackLevel::kL2Gradient));
+  EXPECT_EQ(FaultRegistry::Global().HitCount("lp.force_iteration_limit"),
+            1u);
+  EXPECT_EQ(stats.solver_status.find("linf:"),
+            stats.solver_status.rfind("linf:"));
 }
 
 TEST(FallbackChainTest, LinfChainDegradesLevelByLevel) {
@@ -223,8 +239,6 @@ TEST(FallbackChainTest, LinfChainDegradesLevelByLevel) {
     EXPECT_TRUE(stats.converged);
     EXPECT_NE(stats.solver_status.find("l2pg:converged"),
               std::string::npos);
-    // No escalated retry for infeasible: a bigger budget cannot help.
-    EXPECT_EQ(stats.solver_retries, 0);
   }
   {  // LP infeasible + PG failing -> level 2 (NNLS polish).
     FaultGuard guard;
@@ -273,9 +287,8 @@ TEST(FallbackChainTest, L2ChainSkipsRedundantGradientLevel) {
   ASSERT_TRUE(w.ok());
   EXPECT_EQ(stats.fallback_level,
             static_cast<int>(FallbackLevel::kUniform));
-  // Exactly one l2pg attempt pair (primary + escalated retry), no
-  // separate level-1 repeat.
-  EXPECT_EQ(stats.solver_retries, 1);
+  // Exactly one l2pg attempt: no level-1 repeat.
+  EXPECT_EQ(FaultRegistry::Global().HitCount("qp.fail"), 1u);
   EXPECT_DOUBLE_EQ(w.value()[0], 0.5);
   EXPECT_DOUBLE_EQ(w.value()[1], 0.5);
 }
@@ -337,14 +350,14 @@ TEST(FaultEndToEndTest, DegenerateMatrixDoesNotAbortTraining) {
 }
 
 // ---------------------------------------------------------------------
-// The escalated retry continues the primary's FISTA iterate.
+// One solver run per fallback level, at the full budget.
 // ---------------------------------------------------------------------
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-/// An Eq.-(8) window FISTA does not solve in the default 3,000
-/// iterations but does within the 4x retry budget: 32 box queries on
-/// power data over a 12 x 12 grid of box buckets.
+/// An Eq.-(8) window FISTA does not solve in 3,000 iterations but does
+/// within the default budget: 32 box queries on power data over a
+/// 12 x 12 grid of box buckets.
 struct SlowProblem {
   SlowProblem() {
     DataFixture f;
@@ -361,244 +374,121 @@ struct SlowProblem {
     }
     a = BuildBoxFractionMatrix(train, grid, VolumeOptions{});
     s = SelectivitiesOf(train);
-    escalated.max_iterations = 4 * SimplexLsqOptions{}.max_iterations;
   }
 
   SparseMatrix a;
   Vector s;
-  SimplexLsqOptions escalated;
 };
 
-void ExpectSameResult(const Result<SimplexLsqResult>& got,
-                      const Result<SimplexLsqResult>& want) {
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(want.ok());
-  const SimplexLsqResult& g = got.value();
-  const SimplexLsqResult& w = want.value();
-  ASSERT_EQ(g.w.size(), w.w.size());
-  for (size_t j = 0; j < g.w.size(); ++j) {
-    ASSERT_EQ(Bits(g.w[j]), Bits(w.w[j])) << "weight " << j;
-  }
-  EXPECT_EQ(Bits(g.loss), Bits(w.loss));
-  EXPECT_EQ(g.iterations, w.iterations);
-  EXPECT_EQ(g.converged, w.converged);
-  EXPECT_EQ(g.termination, w.termination);
-  EXPECT_EQ(g.resume.has_value(), w.resume.has_value());
-}
-
-/// What SolveBucketWeights returns for an L2 projected-gradient primary,
-/// rebuilt from separate public solves: `primary`, `retry` (a fresh run
-/// at the 4x budget), then the NNLS polish and the uniform floor, each
-/// attempt absorbed as the chain does.
-struct ChainOutcome {
-  Vector w;
-  TrainStats stats;
-};
-
-ChainOutcome RebuildChain(const SparseMatrix& a, const Vector& s,
-                          const Result<SimplexLsqResult>& primary,
-                          const Result<SimplexLsqResult>& retry) {
-  ChainOutcome out;
-  TrainStats& st = out.stats;
-  const SimplexLsqResult* best = nullptr;
-  auto absorb = [&](const char* stage,
-                    const Result<SimplexLsqResult>& res) {
-    if (!st.solver_status.empty()) st.solver_status += ';';
-    st.solver_status += stage;
-    st.solver_status += ':';
-    if (!res.ok()) {
-      st.solver_status += res.status().ToString();
-      return false;
-    }
-    const SimplexLsqResult& r = res.value();
-    st.solver_status += SolverTerminationName(r.termination);
-    if (best == nullptr || r.loss < best->loss ||
-        (r.converged && !best->converged && r.loss <= best->loss)) {
-      best = &r;
-    }
-    return r.converged;
-  };
-  auto accept = [&](FallbackLevel level) {
-    st.fallback_level = static_cast<int>(level);
-    st.converged = best->converged;
-    st.train_loss = best->loss;
-    st.solver_iterations = best->iterations;
-    out.w = best->w;
-    return out;
-  };
-  if (absorb("l2pg", primary)) return accept(FallbackLevel::kPrimary);
-  st.solver_retries = 1;
-  if (absorb("l2pg", retry)) return accept(FallbackLevel::kPrimary);
-  SimplexLsqOptions nn;
-  nn.method = SimplexLsqOptions::Method::kNnls;
-  const auto polish = SolveSimplexLeastSquares(a, s, nn);
-  absorb("nnls_polish", polish);
-  if (best != nullptr) return accept(FallbackLevel::kNnlsPolish);
-  st.solver_status += ";uniform:floor";
-  st.fallback_level = static_cast<int>(FallbackLevel::kUniform);
-  st.converged = false;
-  out.w.assign(a.cols(), 1.0 / a.cols());
-  st.train_loss = MeanSquaredResidual(a, out.w, s);
-  st.solver_iterations = 0;
-  return out;
-}
-
-void ExpectSameOutcome(const ChainOutcome& want, const Vector& w,
-                       const TrainStats& stats) {
+/// Checks that the chain accepted `want` as is, at `level`.
+void ExpectAccepted(const SimplexLsqResult& want, FallbackLevel level,
+                    const Vector& w, const TrainStats& stats) {
   ASSERT_EQ(w.size(), want.w.size());
   for (size_t j = 0; j < w.size(); ++j) {
     ASSERT_EQ(Bits(w[j]), Bits(want.w[j])) << "weight " << j;
   }
-  EXPECT_EQ(Bits(stats.train_loss), Bits(want.stats.train_loss));
-  EXPECT_EQ(stats.solver_iterations, want.stats.solver_iterations);
-  EXPECT_EQ(stats.fallback_level, want.stats.fallback_level);
-  EXPECT_EQ(stats.solver_retries, want.stats.solver_retries);
-  EXPECT_EQ(stats.converged, want.stats.converged);
-  EXPECT_EQ(stats.solver_status, want.stats.solver_status);
+  EXPECT_EQ(Bits(stats.train_loss), Bits(want.loss));
+  EXPECT_EQ(stats.solver_iterations, want.iterations);
+  EXPECT_EQ(stats.fallback_level, static_cast<int>(level));
+  EXPECT_EQ(stats.converged, want.converged);
 }
 
-/// Runs SolveBucketWeights (L2, default options) on `p`.
-Result<Vector> SolveChain(const SlowProblem& p, TrainStats* stats) {
-  return SolveBucketWeights(p.a, p.s, TrainObjective::kL2,
-                            SimplexLsqOptions{}, LpOptions{}, stats);
-}
+/// One SolveBucketWeights call and the metrics it recorded.
+struct ChainRun {
+  Result<Vector> w = Status::Internal("not run");
+  TrainStats stats;
+  MetricsSnapshot metrics;
+};
 
-TEST(ResumedRetryTest, ContinuesThePrimaryWithTheBitsOfAFreshRun) {
-  FaultGuard guard;
-  SlowProblem p;
-  const auto primary = SolveSimplexLeastSquares(p.a, p.s);
-  ASSERT_TRUE(primary.ok());
-  ASSERT_EQ(primary.value().termination,
-            SolverTermination::kIterationLimit);
-  ASSERT_TRUE(primary.value().resume.has_value());
-  EXPECT_EQ(primary.value().resume->iterations, 3000);
-  const auto fresh = SolveSimplexLeastSquares(p.a, p.s, p.escalated);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(fresh.value().converged)
-      << "the problem must converge inside the 4x budget";
-  ASSERT_GT(fresh.value().iterations, 3000);
-
-  ExpectSameResult(SolveSimplexLeastSquares(p.a, p.s, p.escalated,
-                                            &*primary.value().resume),
-                   fresh);
-  // Also from states whose momentum is live (t > 1, y != w), which the
-  // 3,000-iteration exit need not be: it may follow a restart.
-  for (const int k : {7, 1234, 2995}) {
-    SimplexLsqOptions first;
-    first.max_iterations = k;
-    const auto part = SolveSimplexLeastSquares(p.a, p.s, first);
-    ASSERT_TRUE(part.ok());
-    ASSERT_TRUE(part.value().resume.has_value());
-    EXPECT_GT(part.value().resume->t, 1.0) << "k=" << k;
-    ExpectSameResult(SolveSimplexLeastSquares(p.a, p.s, p.escalated,
-                                              &*part.value().resume),
-                     fresh);
-  }
-
-  const ChainOutcome want = RebuildChain(p.a, p.s, primary, fresh);
+/// Runs SolveBucketWeights (L2, `options`) on `p` with metrics on.
+template <typename Problem>
+ChainRun SolveChain(const Problem& p, const SimplexLsqOptions& options) {
   SetMetricsEnabled(true);
   MetricsRegistry::Global().Reset();
-  TrainStats stats;
-  auto w = SolveChain(p, &stats);
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  ChainRun run;
+  run.w = SolveBucketWeights(p.a, p.s, TrainObjective::kL2, options,
+                             LpOptions{}, &run.stats);
+  run.metrics = MetricsRegistry::Global().Snapshot();
   SetMetricsEnabled(false);
-  ASSERT_TRUE(w.ok());
-  ExpectSameOutcome(want, w.value(), stats);
-  // The retry runs only the iterations past the primary's 3,000.
-  EXPECT_EQ(snap.CounterValue("solver.qp.pg.iterations_total"),
-            static_cast<uint64_t>(fresh.value().iterations));
-  EXPECT_EQ(snap.CounterValue("solver.qp.pg.attempts"), 2u);
+  return run;
 }
 
-TEST(ResumedRetryTest, ForcedLimitOnTheFirstHitResumesAfterOneStep) {
+TEST(OneRunPerLevelTest, L2PrimaryIsOneDefaultSolve) {
   FaultGuard guard;
   SlowProblem p;
-  SimplexLsqOptions one_step;
-  one_step.max_iterations = 1;
-  const auto primary = SolveSimplexLeastSquares(p.a, p.s, one_step);
-  const auto fresh = SolveSimplexLeastSquares(p.a, p.s, p.escalated);
-  const ChainOutcome want = RebuildChain(p.a, p.s, primary, fresh);
+  const auto direct = SolveSimplexLeastSquares(p.a, p.s);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(direct.value().converged)
+      << "the problem must converge inside the default budget";
+  ASSERT_GT(direct.value().iterations, 3000)
+      << "the problem must need more than a quarter of the budget";
+
+  const ChainRun run = SolveChain(p, {});
+  ASSERT_TRUE(run.w.ok());
+  ExpectAccepted(direct.value(), FallbackLevel::kPrimary, run.w.value(),
+                 run.stats);
+  EXPECT_EQ(run.stats.solver_status, "l2pg:converged");
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.pg.attempts"), 1u);
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.pg.iterations_total"),
+            static_cast<uint64_t>(direct.value().iterations));
+}
+
+TEST(OneRunPerLevelTest, ForcedLimitOnTheFirstHitLandsAtThePolish) {
+  FaultGuard guard;
+  // The primary stops after one step, and the chain goes on to the NNLS
+  // polish instead of re-running it.
+  SlowProblem p;
+  SimplexLsqOptions nn;
+  nn.method = SimplexLsqOptions::Method::kNnls;
+  const auto polish = SolveSimplexLeastSquares(p.a, p.s, nn);
+  ASSERT_TRUE(polish.ok());
   FaultRegistry::Global().Arm("qp.force_iteration_limit", 1);
-  TrainStats stats;
-  auto w = SolveChain(p, &stats);
-  ASSERT_TRUE(w.ok());
-  ExpectSameOutcome(want, w.value(), stats);
-  EXPECT_EQ(FaultRegistry::Global().FireCount("qp.force_iteration_limit"),
-            1u);
+  const ChainRun run = SolveChain(p, {});
+  ASSERT_TRUE(run.w.ok());
+  // The one-step iterate is far from the optimum, so the polish wins.
+  ExpectAccepted(polish.value(), FallbackLevel::kNnlsPolish, run.w.value(),
+                 run.stats);
+  EXPECT_EQ(run.stats.solver_status,
+            std::string("l2pg:iteration_limit;nnls_polish:") +
+                SolverTerminationName(polish.value().termination));
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.pg.attempts"), 1u);
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.pg.iterations_total"), 1u);
 }
 
-TEST(ResumedRetryTest, RetryCapBelowTheSavedIterationStartsFresh) {
+TEST(OneRunPerLevelTest, QpFailOnThePrimaryFallsThroughToThePolish) {
   FaultGuard guard;
   SlowProblem p;
-  const auto primary = SolveSimplexLeastSquares(p.a, p.s);
-  ASSERT_TRUE(primary.ok());
-  SimplexLsqOptions one_step;
-  one_step.max_iterations = 1;
-  const auto one = SolveSimplexLeastSquares(p.a, p.s, one_step);
-  // A state past the budget is ignored: the solve starts from uniform.
-  ExpectSameResult(SolveSimplexLeastSquares(p.a, p.s, one_step,
-                                            &*primary.value().resume),
-                   one);
-  // In the chain: the fault cuts the retry's budget to 1, below the
-  // primary's 3,000, so the retry is a fresh one-step solve.
-  const ChainOutcome want = RebuildChain(p.a, p.s, primary, one);
-  FaultRegistry::Global().Arm("qp.force_iteration_limit", 2);
-  TrainStats stats;
-  auto w = SolveChain(p, &stats);
-  ASSERT_TRUE(w.ok());
-  ExpectSameOutcome(want, w.value(), stats);
+  SimplexLsqOptions nn;
+  nn.method = SimplexLsqOptions::Method::kNnls;
+  const auto polish = SolveSimplexLeastSquares(p.a, p.s, nn);
+  ASSERT_TRUE(polish.ok());
+  FaultRegistry::Global().Arm("qp.fail", 1);
+  const ChainRun run = SolveChain(p, {});
+  ASSERT_TRUE(run.w.ok());
+  ExpectAccepted(polish.value(), FallbackLevel::kNnlsPolish, run.w.value(),
+                 run.stats);
+  EXPECT_EQ(FaultRegistry::Global().HitCount("qp.fail"), 1u);
 }
 
-TEST(ResumedRetryTest, QpFailOnTheRetryFallsThroughToThePolish) {
+TEST(OneRunPerLevelTest, NnlsPrimaryAtItsLimitRunsNnlsOnce) {
   FaultGuard guard;
-  SlowProblem p;
-  const auto primary = SolveSimplexLeastSquares(p.a, p.s);
-  const ChainOutcome want = RebuildChain(
-      p.a, p.s, primary, Status::Internal("injected fault: qp.fail"));
-  FaultRegistry::Global().Arm("qp.fail", 2);
-  TrainStats stats;
-  auto w = SolveChain(p, &stats);
-  ASSERT_TRUE(w.ok());
-  ExpectSameOutcome(want, w.value(), stats);
-  EXPECT_EQ(stats.fallback_level,
-            static_cast<int>(FallbackLevel::kNnlsPolish));
-}
-
-TEST(ResumedRetryTest, DeadlineBetweenAttemptsReturnsTheUniformStart) {
-  FaultGuard guard;
-  SlowProblem p;
-  const auto primary = SolveSimplexLeastSquares(p.a, p.s);
-  ASSERT_TRUE(primary.ok());
-  ASSERT_TRUE(primary.value().resume.has_value());
-  // The budget has run out by the time the retry starts: its entry
-  // check answers before the saved state is read, as a fresh retry's
-  // would.
-  ScopedDeadline expired(Deadline::AfterMillis(0));
-  const auto resumed = SolveSimplexLeastSquares(p.a, p.s, p.escalated,
-                                                &*primary.value().resume);
-  const auto fresh = SolveSimplexLeastSquares(p.a, p.s, p.escalated);
-  ExpectSameResult(resumed, fresh);
-  ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(resumed.value().termination,
-            SolverTermination::kDeadlineExceeded);
-  EXPECT_EQ(resumed.value().iterations, 0);
-  for (double x : resumed.value().w) EXPECT_EQ(x, 1.0 / p.a.cols());
-}
-
-TEST(ResumedRetryTest, DeadlineExitCarriesNoResumeState) {
-  FaultGuard guard;
-  SlowProblem p;
-  // Tolerance 0 never converges and the cap is out of reach, so only
-  // the deadline ends the loop, part way through.
-  SimplexLsqOptions endless;
-  endless.tolerance = 0.0;
-  endless.max_iterations = INT_MAX;
-  ScopedDeadline budget(Deadline::AfterMillis(200));
-  const auto res = SolveSimplexLeastSquares(p.a, p.s, endless);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value().termination, SolverTermination::kDeadlineExceeded);
-  EXPECT_GT(res.value().iterations, 0);
-  EXPECT_FALSE(res.value().resume.has_value());
+  TinyProblem p;
+  SimplexLsqOptions nn;
+  nn.method = SimplexLsqOptions::Method::kNnls;
+  const auto pg = SolveSimplexLeastSquares(p.a, p.s);
+  ASSERT_TRUE(pg.ok());
+  ASSERT_TRUE(pg.value().converged);
+  FaultRegistry::Global().Arm("nnls.force_iteration_limit", 1);
+  const ChainRun run = SolveChain(p, nn);
+  ASSERT_TRUE(run.w.ok());
+  // Lawson–Hanson does not read the budget, so a second NNLS run would
+  // repeat the first; the chain degrades to projected gradient.
+  ExpectAccepted(pg.value(), FallbackLevel::kL2Gradient, run.w.value(),
+                 run.stats);
+  EXPECT_EQ(run.stats.solver_status,
+            "l2nnls:iteration_limit;l2pg:converged");
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.nnls.attempts"), 1u);
+  EXPECT_EQ(run.metrics.CounterValue("solver.qp.pg.attempts"), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -500,9 +500,6 @@ TEST(SimdKernelTest, SolverIdenticalAcrossLevels) {
   Vector base_w;
   for (size_t li = 0; li < levels.size(); ++li) {
     ScopedSimdLevel scope(levels[li]);
-    // Fresh matrix per level so the Lipschitz memo cannot leak a value
-    // computed under another level (it would be identical anyway; this
-    // keeps the property honest).
     const SparseMatrix a = SparseMatrix::FromTriplets(rows, cols, trips);
     auto result = SolveSimplexLeastSquares(a, s, opts);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -513,43 +510,6 @@ TEST(SimdKernelTest, SolverIdenticalAcrossLevels) {
           << SimdLevelName(levels[li]);
     }
   }
-}
-
-// The power-iteration Lipschitz estimate is memoized on the matrix, so
-// repeated solves over the same A (the degradation chain's retry
-// pattern) estimate once and hit the cache afterwards.
-TEST(SimdKernelTest, LipschitzEstimateCachedBetweenSolves) {
-  Rng rng(2108);
-  const int rows = 25, cols = 10;
-  std::vector<Triplet> trips;
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) {
-      if (rng.UniformInt(2) == 0) {
-        trips.push_back(Triplet{i, j, rng.Uniform(0.0, 1.0)});
-      }
-    }
-  }
-  const SparseMatrix a = SparseMatrix::FromTriplets(rows, cols, trips);
-  const Vector s = RandomVector(&rng, rows, 0.0, 1.0);
-
-  SetMetricsEnabled(true);
-  MetricsRegistry::Global().Reset();
-  EXPECT_LT(a.lipschitz_cache().Get(), 0.0) << "cache must start empty";
-  SimplexLsqOptions opts;
-  Vector first_w, second_w;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    auto result = SolveSimplexLeastSquares(a, s, opts);
-    ASSERT_TRUE(result.ok());
-    if (attempt == 0) first_w = result.value().w;
-    second_w = result.value().w;
-  }
-  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  SetMetricsEnabled(false);
-  EXPECT_EQ(snap.CounterValue("solver.lipschitz.estimates_total"), 1u);
-  EXPECT_EQ(snap.CounterValue("solver.lipschitz.cache_hits_total"), 2u);
-  EXPECT_GT(a.lipschitz_cache().Get(), 0.0);
-  // Memoization must not change the answer.
-  EXPECT_EQ(first_w, second_w);
 }
 
 }  // namespace

@@ -299,15 +299,16 @@ TEST(SimplexLsqTest, RecoversPlantedSimplexWeights) {
   Rng rng(26);
   const int n = 40, m = 5;
   Vector truth = {0.1, 0.4, 0.2, 0.05, 0.25};
-  DenseMatrix a(n, m);
+  std::vector<Triplet> t;
   Vector s(n, 0.0);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < m; ++j) {
-      a.at(i, j) = rng.NextDouble();
-      s[i] += a.at(i, j) * truth[j];
+      const double v = rng.NextDouble();
+      t.push_back({i, j, v});
+      s[i] += v * truth[j];
     }
   }
-  auto res = SolveSimplexLeastSquares(a, s);
+  auto res = SolveSimplexLeastSquares(SparseMatrix::FromTriplets(n, m, t), s);
   ASSERT_TRUE(res.ok());
   EXPECT_LT(res.value().loss, 1e-10);
   for (int j = 0; j < m; ++j) EXPECT_NEAR(res.value().w[j], truth[j], 1e-3);
@@ -316,12 +317,13 @@ TEST(SimplexLsqTest, RecoversPlantedSimplexWeights) {
 TEST(SimplexLsqTest, NnlsModeMatchesProjectedGradient) {
   Rng rng(27);
   const int n = 30, m = 6;
-  DenseMatrix a(n, m);
+  std::vector<Triplet> t;
   Vector s(n);
   for (int i = 0; i < n; ++i) {
     s[i] = rng.NextDouble() * 0.5;
-    for (int j = 0; j < m; ++j) a.at(i, j) = rng.NextDouble();
+    for (int j = 0; j < m; ++j) t.push_back({i, j, rng.NextDouble()});
   }
+  const auto a = SparseMatrix::FromTriplets(n, m, t);
   SimplexLsqOptions pg;
   SimplexLsqOptions nn;
   nn.method = SimplexLsqOptions::Method::kNnls;
@@ -333,36 +335,16 @@ TEST(SimplexLsqTest, NnlsModeMatchesProjectedGradient) {
   EXPECT_NEAR(r1.value().loss, r2.value().loss, 2e-3);
 }
 
-TEST(SimplexLsqTest, SparseMatchesDense) {
-  Rng rng(28);
-  const int n = 25, m = 10;
-  std::vector<Triplet> t;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < m; ++j) {
-      if (rng.NextDouble() < 0.4) t.push_back({i, j, rng.NextDouble()});
-    }
-  }
-  const auto sp = SparseMatrix::FromTriplets(n, m, t);
-  const auto de = sp.ToDense();
-  Vector s(n);
-  for (auto& v : s) v = rng.NextDouble() * 0.3;
-  auto r1 = SolveSimplexLeastSquares(de, s);
-  auto r2 = SolveSimplexLeastSquares(sp, s);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NEAR(r1.value().loss, r2.value().loss, 1e-6);
-}
-
 TEST(SimplexLsqTest, WeightsAlwaysOnSimplex) {
   Rng rng(29);
   const int n = 15, m = 8;
-  DenseMatrix a(n, m);
+  std::vector<Triplet> t;
   Vector s(n);
   for (int i = 0; i < n; ++i) {
     s[i] = rng.NextDouble();
-    for (int j = 0; j < m; ++j) a.at(i, j) = rng.NextDouble() * 0.1;
+    for (int j = 0; j < m; ++j) t.push_back({i, j, rng.NextDouble() * 0.1});
   }
-  auto res = SolveSimplexLeastSquares(a, s);
+  auto res = SolveSimplexLeastSquares(SparseMatrix::FromTriplets(n, m, t), s);
   ASSERT_TRUE(res.ok());
   double sum = 0.0;
   for (double w : res.value().w) {
@@ -374,32 +356,31 @@ TEST(SimplexLsqTest, WeightsAlwaysOnSimplex) {
 
 TEST(SimplexLsqTest, RidgeFlattensWeights) {
   // Two identical columns: ridge prefers splitting the mass evenly.
-  DenseMatrix a(4, 2);
+  std::vector<Triplet> t;
   for (int i = 0; i < 4; ++i) {
-    a.at(i, 0) = 0.5;
-    a.at(i, 1) = 0.5;
+    t.push_back({i, 0, 0.5});
+    t.push_back({i, 1, 0.5});
   }
   const Vector s(4, 0.5);
   SimplexLsqOptions opts;
   opts.ridge = 1.0;
-  auto res = SolveSimplexLeastSquares(a, s, opts);
+  auto res =
+      SolveSimplexLeastSquares(SparseMatrix::FromTriplets(4, 2, t), s, opts);
   ASSERT_TRUE(res.ok());
   EXPECT_NEAR(res.value().w[0], 0.5, 1e-6);
   EXPECT_NEAR(res.value().w[1], 0.5, 1e-6);
 }
 
 TEST(SimplexLsqTest, ZeroColumnsRejected) {
-  DenseMatrix a(2, 0);
+  const auto a = SparseMatrix::FromTriplets(2, 0, {});
   auto res = SolveSimplexLeastSquares(a, {0.0, 0.0});
   EXPECT_FALSE(res.ok());
 }
 
 TEST(EstimateLipschitzTest, MatchesKnownSpectralNorm) {
   // Diagonal matrix: largest eigenvalue of A^T A is max diag^2.
-  DenseMatrix a(3, 3);
-  a.at(0, 0) = 1.0;
-  a.at(1, 1) = 3.0;
-  a.at(2, 2) = 2.0;
+  const auto a =
+      SparseMatrix::FromTriplets(3, 3, {{0, 0, 1.0}, {1, 1, 3.0}, {2, 2, 2.0}});
   EXPECT_NEAR(EstimateLipschitz(a), 9.0, 1e-6);
 }
 
@@ -517,15 +498,17 @@ TEST(ChebyshevTest, ExactFitHasZeroError) {
 TEST(ChebyshevTest, MinimizesMaxResidualBelowL2Fit) {
   Rng rng(31);
   const int n = 25, m = 6;
-  DenseMatrix a(n, m);
+  std::vector<Triplet> t;
   Vector s(n);
   for (int i = 0; i < n; ++i) {
     s[i] = rng.NextDouble() * 0.4;
-    for (int j = 0; j < m; ++j) a.at(i, j) = rng.NextDouble();
+    for (int j = 0; j < m; ++j) t.push_back({i, j, rng.NextDouble()});
   }
+  const auto sparse = SparseMatrix::FromTriplets(n, m, t);
+  const DenseMatrix a = sparse.ToDense();
   auto linf = SolveSimplexChebyshev(a, s);
   ASSERT_TRUE(linf.ok());
-  auto l2 = SolveSimplexLeastSquares(a, s);
+  auto l2 = SolveSimplexLeastSquares(sparse, s);
   ASSERT_TRUE(l2.ok());
   auto max_resid = [&](const Vector& w) {
     double worst = 0.0;

@@ -230,9 +230,9 @@ int Train(int argc, char** argv) {
               model.train_stats().train_loss,
               model.train_stats().train_seconds);
   const TrainStats& ts = model.train_stats();
-  std::printf("solver: %s (fallback_level=%d, retries=%d%s)\n",
+  std::printf("solver: %s (fallback_level=%d%s)\n",
               ts.converged ? "converged" : "NOT converged",
-              ts.fallback_level, ts.solver_retries,
+              ts.fallback_level,
               ts.solver_status.empty()
                   ? ""
                   : (std::string("; ") + ts.solver_status).c_str());
